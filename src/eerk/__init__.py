@@ -9,8 +9,8 @@ The package bundles:
 * the energy-dissipation machinery: discrete orthogonal convolution
   kernels, differentiation matrices, leading-principal-minor
   classification and average dissipation rates (:mod:`eerk.dissipation`),
-* a spectral 1-D Dirichlet Laplacian and Cahn-Hilliard problem setup
-  (:mod:`eerk.spatial`),
+* a spectral 1-D Dirichlet Laplacian, diagonalised by the orthonormal
+  DST-I, and the Cahn-Hilliard problem setup (:mod:`eerk.spatial`),
 * the generic stage loop with optional stage-energy-law monitoring
   (:mod:`eerk.integrator`),
 * benchmark drivers and a CSV-emitting command line front end
@@ -27,18 +27,9 @@ from eerk.dissipation import (
     leading_principal_minors,
 )
 from eerk.integrator import RunReport, StepRecord, integrate, stage_energy_margin, step
-from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, Var, evaluate, phi, phi_scalar
-from eerk.spatial import (
-    CahnHilliard,
-    Problem,
-    StabilizedSemilinear,
-    apply_spectral,
-    build_laplacian_1d,
-    ch_energy,
-    inner_product,
-)
+from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, Var, evaluate, phi
+from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 from eerk.tableaux import (
-    DiffTableau,
     Tableau,
     butcher_diff,
     get_method,
@@ -49,7 +40,6 @@ from eerk.tableaux import (
 
 __all__ = [
     "phi",
-    "phi_scalar",
     "evaluate",
     "Const",
     "Var",
@@ -59,7 +49,6 @@ __all__ = [
     "Negate",
     "PhiExpr",
     "Tableau",
-    "DiffTableau",
     "get_method",
     "parse_method",
     "butcher_diff",
@@ -73,9 +62,6 @@ __all__ = [
     "default_z_grid",
     "Classification",
     "build_laplacian_1d",
-    "apply_spectral",
-    "inner_product",
-    "ch_energy",
     "CahnHilliard",
     "StabilizedSemilinear",
     "Problem",

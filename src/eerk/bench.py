@@ -28,7 +28,7 @@ from eerk.dissipation import (
     default_z_grid,
     scan_method,
 )
-from eerk.integrator import RunReport, integrate
+from eerk.integrator import RunReport, _step_count, integrate
 from eerk.spatial import CahnHilliard, Problem, build_laplacian_1d
 from eerk.tableaux import MethodError, parse_method
 
@@ -104,6 +104,8 @@ def parse_z_grid(spec: str) -> np.ndarray:
             kind, a, b, n = fields[0], float(fields[1]), float(fields[2]), int(fields[3])
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"malformed grid spec {chunk!r}") from exc
+        if not (math.isfinite(a) and math.isfinite(b) and n >= 1):
+            raise ConfigError(f"grid spec {chunk!r} needs finite bounds and at least 1 point")
         if kind == "lin":
             parts.append(np.linspace(a, b, n))
         elif kind == "log":
@@ -147,11 +149,15 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def problem(self) -> Problem:
-        return Problem(
-            build_laplacian_1d(self.length, self.m),
-            CahnHilliard(eps=self.eps, kappa=self.kappa),
-            metric_override=self.metric,
-        )
+        # whether eps and kappa are admissible depends on the spectrum
+        try:
+            return Problem(
+                build_laplacian_1d(self.length, self.m),
+                CahnHilliard(eps=self.eps, kappa=self.kappa),
+                metric_override=self.metric,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (eps={self.eps}, kappa={self.kappa})") from exc
 
     def initial_state(self, problem: Problem) -> np.ndarray:
         return initial_profile(self.ic, problem.op.x)
@@ -177,6 +183,14 @@ class ExperimentConfig:
 _BOOL_KEYS = {"monitor", "implicit"}
 _FLOAT_KEYS = {"eps", "kappa", "ref_tau"}
 _INT_KEYS = {"m"}
+
+
+def _check_horizon(t_final: float, tau: float) -> None:
+    """ConfigError unless ``t_final`` is a positive integer multiple of ``tau``."""
+    try:
+        _step_count(t_final, tau)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_bool(value: str) -> bool:
@@ -243,7 +257,7 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
                 setattr(cfg, key, value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
@@ -251,6 +265,13 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
         raise ConfigError(f"unknown metric {cfg.metric!r}")
     if cfg.m < 2:
         raise ConfigError("mesh must have at least 2 interior points")
+    if not all(math.isfinite(tau) and tau > 0 for tau in cfg.taus):
+        raise ConfigError(f"step sizes must be finite and positive, got {cfg.taus}")
+    if not (math.isfinite(cfg.t_final) and cfg.t_final >= 0):
+        raise ConfigError(f"final time must be finite and nonnegative, got {cfg.t_final}")
+    if cfg.t_final > 0:
+        for tau in cfg.taus:
+            _check_horizon(cfg.t_final, tau)
     return cfg
 
 
@@ -293,6 +314,7 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     ref_tableau, ref_tau = cfg.resolve_reference()
+    _check_horizon(cfg.t_final, ref_tau)
 
     strides = []
     for tau in cfg.taus:
@@ -302,7 +324,6 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
             raise ConfigError(f"tau {tau} is not an integer multiple of ref_tau {ref_tau}")
         strides.append(stride)
 
-    ref_steps = round(cfg.t_final / ref_tau)
     wanted = set()
     for tau, stride in zip(cfg.taus, strides):
         wanted.update(stride * n for n in range(1, round(cfg.t_final / tau) + 1))

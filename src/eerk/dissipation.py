@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from eerk.phi import evaluate
-from eerk.tableaux import DiffTableau, Tableau, butcher_diff, coefficient_matrix
+from eerk.tableaux import Tableau, butcher_diff, coefficient_matrix
 
 __all__ = [
     "SingularDiagonalError",
@@ -85,7 +85,7 @@ def _theta_from_abar(abar: np.ndarray) -> np.ndarray:
     return theta
 
 
-def doc_kernels(dt: DiffTableau, z) -> np.ndarray:
+def doc_kernels(dt: Tableau, z) -> np.ndarray:
     """DOC kernels of a Butcher-Diff tableau at ``z`` (scalar or array).
 
     Shape ``(s, s)`` for scalar ``z``, ``(n, s, s)`` for an ``(n,)`` array.
@@ -94,7 +94,7 @@ def doc_kernels(dt: DiffTableau, z) -> np.ndarray:
     return _theta_from_abar(coefficient_matrix(dt, z))
 
 
-def doc_identity_residual(dt: DiffTableau, z) -> float:
+def doc_identity_residual(dt: Tableau, z) -> float:
     """Max elementwise residual of ``Theta @ Abar = I`` at ``z``."""
     abar = coefficient_matrix(dt, z)
     theta = _theta_from_abar(abar)

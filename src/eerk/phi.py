@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "phi",
-    "phi_scalar",
     "Const",
     "Var",
     "Phi",
@@ -90,11 +89,6 @@ def phi(k: int, z) -> Union[float, np.ndarray]:
     if not np.all(small):
         out[~small] = _phi_recursive(k, zarr[~small])
     return float(out) if np.isscalar(z) or zarr.ndim == 0 else out
-
-
-def phi_scalar(k: int, z: float) -> float:
-    """Scalar convenience wrapper around :func:`phi`."""
-    return float(phi(k, float(z)))
 
 
 # --------------------------------------------------------------------------

@@ -29,50 +29,32 @@ import scipy.fft
 __all__ = [
     "SpectralOperator",
     "build_laplacian_1d",
-    "apply_spectral",
-    "inner_product",
     "CahnHilliard",
     "StabilizedSemilinear",
     "Problem",
-    "ch_energy",
 ]
-
-# dense transforms are fast enough below this size and easier to introspect
-_DENSE_LIMIT = 1024
 
 
 class SpectralOperator:
     """Eigen-decomposition of the Dirichlet Laplacian on ``m`` interior points.
 
-    ``transform`` selects the sine-transform backend: ``"dense"`` uses a
-    precomputed orthonormal sine matrix, ``"fft"`` uses the fast DST-I, and
-    ``"auto"`` (default) picks dense for ``m <= 1024``.  Both are involutions
-    and agree to rounding; instances are immutable and thread-safe.
+    The eigenvectors are the orthonormal sine modes, so the transform to and
+    from eigen-coordinates is the orthonormal DST-I (an involution).
+    Instances are immutable and thread-safe.
     """
 
-    def __init__(self, length: float, m: int, transform: str = "auto"):
+    def __init__(self, length: float, m: int):
         if m < 2:
             raise ValueError(f"need at least 2 interior points, got {m}")
-        if transform not in ("auto", "dense", "fft"):
-            raise ValueError(f"unknown transform backend {transform!r}")
         self.length = float(length)
         self.m = int(m)
         self.h = self.length / (m + 1)
         k = np.arange(1, m + 1)
         self.eigenvalues = (4.0 / self.h**2) * np.sin(k * np.pi / (2.0 * (m + 1))) ** 2
         self.x = self.h * k
-        if transform == "auto":
-            transform = "dense" if m <= _DENSE_LIMIT else "fft"
-        self.transform = transform
-        if transform == "dense":
-            self._basis = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * np.pi / (m + 1))
-        else:
-            self._basis = None
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of ``v`` in the orthonormal sine basis."""
-        if self._basis is not None:
-            return self._basis @ v
         return scipy.fft.dst(v, type=1, norm="ortho")
 
     # the orthonormal sine transform is its own inverse
@@ -107,17 +89,9 @@ class SpectralOperator:
         raise ValueError(f"unknown metric {metric!r}")
 
 
-def build_laplacian_1d(length: float, m: int, transform: str = "auto") -> SpectralOperator:
+def build_laplacian_1d(length: float, m: int) -> SpectralOperator:
     """Dirichlet Laplacian on ``(0, length)`` with ``m`` interior points."""
-    return SpectralOperator(length, m, transform)
-
-
-def apply_spectral(op: SpectralOperator, f, v) -> np.ndarray:
-    return op.apply(f, np.asarray(v, dtype=float))
-
-
-def inner_product(op: SpectralOperator, u, v, metric: str = "l2") -> float:
-    return op.inner(np.asarray(u, dtype=float), np.asarray(v, dtype=float), metric)
+    return SpectralOperator(length, m)
 
 
 @dataclass(frozen=True)
@@ -182,9 +156,3 @@ class Problem:
         stiff = 0.5 * self.op.inner(v, self.op.apply_stencil(v))
         return stiff + float(self.op.h * np.sum(self.kind.potential(v)))
 
-
-def ch_energy(problem: Problem, v) -> float:
-    """Cahn-Hilliard energy ``(eps^2/2) <v, L v> + h * sum (v^2-1)^2 / 4``."""
-    if not isinstance(problem.kind, CahnHilliard):
-        raise ValueError("ch_energy requires a CahnHilliard problem")
-    return problem.energy(np.asarray(v, dtype=float))

@@ -36,7 +36,6 @@ from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, evaluate
 
 __all__ = [
     "Tableau",
-    "DiffTableau",
     "MethodError",
     "METHOD_PARAMS",
     "get_method",
@@ -103,20 +102,6 @@ class Tableau:
         return f"{self.name}:{inner}"
 
 
-@dataclass(frozen=True)
-class DiffTableau:
-    """Row-difference transform of a :class:`Tableau` (same layout)."""
-
-    name: str
-    params: tuple = ()
-    c: tuple = ()
-    rows: tuple = ()
-
-    @property
-    def stages(self) -> int:
-        return len(self.rows)
-
-
 def coefficient_matrix(t, z) -> np.ndarray:
     """Evaluate the s x s coefficient matrix at ``z``.
 
@@ -133,15 +118,16 @@ def coefficient_matrix(t, z) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def butcher_diff(t: Tableau) -> DiffTableau:
-    """Difference coefficients: the diagonal is kept, and below it each
-    entry has the same-column entry of the previous stage row subtracted."""
+def butcher_diff(t: Tableau) -> Tableau:
+    """Difference coefficients, in the same layout: the diagonal is kept, and
+    below it each entry has the same-column entry of the previous stage row
+    subtracted."""
     rows = [t.rows[0]]
     for i in range(1, t.stages):
         prev, cur = t.rows[i - 1], t.rows[i]
         row = tuple(_sub(cur[j], prev[j]) for j in range(i)) + (cur[i],)
         rows.append(row)
-    return DiffTableau(name=t.name, params=t.params, c=t.c, rows=tuple(rows))
+    return Tableau(name=t.name, params=t.params, c=t.c, rows=tuple(rows))
 
 
 # --------------------------------------------------------------------------

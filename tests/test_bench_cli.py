@@ -156,6 +156,8 @@ def test_run_convergence_single_tau_no_order():
 def test_run_convergence_rejects_misaligned_reference():
     with pytest.raises(ConfigError):
         run_convergence(small_cfg(ref_tau=0.03))
+    with pytest.raises(ConfigError):
+        run_convergence(small_cfg(t_final=0.0))
 
 
 def test_run_convergence_divergent_reference_aborts():
@@ -256,6 +258,22 @@ def test_cli_config_file_with_flag_override(capsys, tmp_path):
     assert "min margin" in capsys.readouterr().out
     energy_csv = (tmp_path / "out" / "eerk31-c2-4-9_energy.csv").read_text().splitlines()
     assert len(energy_csv) == 4  # header + E(0), E(0.2), E(0.4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--method", "etd1", "--tau", "0.03", "--T", "1"],
+    ["energy", "--method", "etd1", "--tau", "-0.1"],
+    ["energy", "--method", "etd1", "--kappa", "-5"],
+    ["energy", "--method", "etd1", "--eps", "nan"],
+    ["energy", "--method", "etd1", "--h", "0"],
+    ["converge", "--method", "etd1", "--T", "0.013"],
+    ["analyze", "--method", "etd1", "--grid", "lin:nan:0:3"],
+    ["analyze", "--method", "etd1", "--grid", "lin:-1:0:-3"],
+])
+def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_energy_divergence_exit_code(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from eerk.integrator import integrate, stage_energy_margin, step
 from eerk.phi import phi
-from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, apply_spectral, build_laplacian_1d
+from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 from eerk.tableaux import get_method
 
 
@@ -29,9 +29,8 @@ def test_etd1_step_matches_exponential_euler_form():
     tau = 0.2
     mu = p.spectral_shift(p.op.eigenvalues)
     rec = step(p, get_method("etd1"), u, tau)
-    direct = (apply_spectral(p.op, lambda lam: phi(0, -tau * (lam + 1.5)), u)
-              + tau * apply_spectral(p.op, lambda lam: phi(1, -tau * (lam + 1.5)),
-                                     np.tanh(u) + 1.5 * u))
+    direct = (p.op.apply(lambda lam: phi(0, -tau * (lam + 1.5)), u)
+              + tau * p.op.apply(lambda lam: phi(1, -tau * (lam + 1.5)), np.tanh(u) + 1.5 * u))
     assert np.max(np.abs(rec.stages[-1] - direct)) < 1e-11 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -45,7 +44,7 @@ def test_etd2rk_step_matches_two_line_scheme():
     u = 0.5 * rng.standard_normal(24)
     tau = 0.3
     rec = step(p, get_method("eerk2", c2=1), u, tau)
-    ap = lambda k, v: apply_spectral(p.op, lambda lam: phi(k, -tau * (lam + kappa)), v)
+    ap = lambda k, v: p.op.apply(lambda lam: phi(k, -tau * (lam + kappa)), v)
     u2 = ap(0, u) + tau * ap(1, gk(u))
     u3 = u2 + tau * ap(2, gk(u2) - gk(u))
     assert np.max(np.abs(rec.stages[1] - u2)) < 1e-12 * max(1.0, np.max(np.abs(u2)))
@@ -66,7 +65,7 @@ def test_linear_exactness(name, params):
     u0 = rng.standard_normal(24)
     tau, n = 0.05, 10
     rep = integrate(p, get_method(name, **params), u0, tau, tau * n)
-    exact = apply_spectral(p.op, lambda lam: np.exp(-n * tau * lam), u0)
+    exact = p.op.apply(lambda lam: np.exp(-n * tau * lam), u0)
     assert np.max(np.abs(rep.final_state - exact)) < 1e-9
 
 
@@ -81,7 +80,7 @@ def test_equilibria_preservation(name, params):
     m, kappa = 24, 0.9
     op = build_laplacian_1d(2 * np.pi, m)
     u_star = rng.standard_normal(m)
-    lk_u_star = apply_spectral(op, lambda lam: lam + kappa, u_star)
+    lk_u_star = op.apply(lambda lam: lam + kappa, u_star)
     p = Problem(op, StabilizedSemilinear(
         kappa=kappa, g=lambda u: lk_u_star - kappa * u, potential=lambda u: 0.0 * u))
     rep = integrate(p, get_method(name, **params), u_star, 0.25, 2.5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eerk.phi import Const, Negate, Phi, Product, Sum, Var, evaluate, phi, phi_scalar
+from eerk.phi import Const, Negate, Phi, Product, Sum, Var, evaluate, phi
 
 # Reference values computed beforehand with a 50-digit mpmath evaluation of
 # the recursion seeded by exp; frozen here so the test stays independent of
@@ -35,12 +35,12 @@ GOLDEN = [
 
 @pytest.mark.parametrize("k", range(9))
 def test_value_at_zero_is_reciprocal_factorial(k):
-    assert phi_scalar(k, 0.0) == pytest.approx(1.0 / math.factorial(k), rel=1e-15, abs=0)
+    assert phi(k, 0.0) == pytest.approx(1.0 / math.factorial(k), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("k,z,expected", GOLDEN)
 def test_golden_values(k, z, expected):
-    assert phi_scalar(k, z) == pytest.approx(expected, rel=1e-13)
+    assert phi(k, z) == pytest.approx(expected, rel=1e-13)
 
 
 def test_phi1_closed_form_independent_route():
@@ -48,7 +48,7 @@ def test_phi1_closed_form_independent_route():
     zs = np.concatenate([-np.logspace(0, 6, 200), np.array([1.0])])
     for z in zs:
         direct = (np.exp(z) - 1.0) / z
-        assert phi_scalar(1, z) == pytest.approx(direct, rel=1e-13)
+        assert phi(1, z) == pytest.approx(direct, rel=1e-13)
 
 
 def test_recursion_consistency_downward_form():
@@ -87,7 +87,7 @@ def test_vector_matches_scalar():
     z = np.concatenate([rng.uniform(-1e4, 1.0, 64), rng.uniform(-2.0, 1.0, 64)])
     for k in range(9):
         vec = phi(k, z)
-        scal = np.array([phi_scalar(k, zz) for zz in z])
+        scal = np.array([phi(k, zz) for zz in z])
         assert np.array_equal(vec, scal)
 
 
@@ -105,7 +105,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         phi(-1, 0.5)
     with pytest.raises(ValueError):
-        phi_scalar(1, float("inf"))
+        phi(1, float("inf"))
     with pytest.raises(ValueError):
         phi(2, np.array([0.0, float("nan")]))
 

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from eerk.phi import phi
-from eerk.spatial import (
-    CahnHilliard,
-    Problem,
-    StabilizedSemilinear,
-    apply_spectral,
-    build_laplacian_1d,
-    ch_energy,
-    inner_product,
-)
+from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 
 
 def dense_laplacian(op):
@@ -47,23 +39,27 @@ def test_round_trip_and_identity_function():
     op = build_laplacian_1d(2 * np.pi, 40)
     v = rng.standard_normal(40)
     assert np.max(np.abs(op.inverse(op.forward(v)) - v)) < 1e-12
-    assert np.max(np.abs(apply_spectral(op, lambda lam: np.ones_like(lam), v) - v)) < 1e-12
+    assert np.max(np.abs(op.apply(lambda lam: np.ones_like(lam), v) - v)) < 1e-12
 
 
-def test_backends_agree():
+@pytest.mark.parametrize("m", [57, 639])
+def test_transform_matches_dense_sine_matrix(m):
+    # oracle: the orthonormal sine matrix S_jk = sqrt(2/(m+1)) sin(jk pi/(m+1))
     rng = np.random.default_rng(12)
-    v = rng.standard_normal(57)
-    a = build_laplacian_1d(4.0, 57, transform="dense")
-    b = build_laplacian_1d(4.0, 57, transform="fft")
-    assert np.max(np.abs(a.forward(v) - b.forward(v))) < 1e-12
-    assert np.max(np.abs(a.apply_values(a.eigenvalues, v) - b.apply_values(b.eigenvalues, v))) < 1e-9
+    v = rng.standard_normal(m)
+    op = build_laplacian_1d(4.0, m)
+    k = np.arange(1, m + 1)
+    basis = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * np.pi / (m + 1))
+    assert np.max(np.abs(op.forward(v) - basis @ v)) < 1e-12
+    want = basis @ (op.eigenvalues * (basis @ v))
+    assert np.max(np.abs(op.apply_values(op.eigenvalues, v) - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_spectral_laplacian_matches_stencil():
     rng = np.random.default_rng(13)
     op = build_laplacian_1d(2 * np.pi, 64)
     v = rng.standard_normal(64)
-    got = apply_spectral(op, lambda lam: lam, v)
+    got = op.apply(lambda lam: lam, v)
     want = op.apply_stencil(v.copy())
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -76,23 +72,22 @@ def test_phi_of_operator_against_dense_eigendecomposition():
     lam_d, q = np.linalg.eigh(dense_laplacian(op))
     f = lambda lam: phi(1, -tau * (eps**2 * lam**2 + kappa * lam))
     dense_result = q @ (f(lam_d) * (q.T @ v))
-    assert np.max(np.abs(apply_spectral(op, f, v) - dense_result)) < 1e-9
+    assert np.max(np.abs(op.apply(f, v) - dense_result)) < 1e-9
 
 
 def test_inner_products():
     rng = np.random.default_rng(15)
     op = build_laplacian_1d(5.0, 48)
     u, v = rng.standard_normal(48), rng.standard_normal(48)
-    assert inner_product(op, v, v) > 0
-    assert inner_product(op, np.zeros(48), np.zeros(48)) == 0
+    assert op.inner(v, v) > 0
+    assert op.inner(np.zeros(48), np.zeros(48)) == 0
     # <u, L v>_{-1} collapses to the L2 product
     lv = op.apply_stencil(v.copy())
-    assert inner_product(op, u, lv, "hminus1") == pytest.approx(
-        inner_product(op, u, v), rel=1e-10)
+    assert op.inner(u, lv, "hminus1") == pytest.approx(op.inner(u, v), rel=1e-10)
     # sine modes are orthogonal
     e1 = np.sin(1 * np.pi * np.arange(1, 49) / 49)
     e2 = np.sin(2 * np.pi * np.arange(1, 49) / 49)
-    assert abs(inner_product(op, e1, e2)) < 1e-12
+    assert abs(op.inner(e1, e2)) < 1e-12
 
 
 def test_spectral_composition_property():
@@ -101,8 +96,8 @@ def test_spectral_composition_property():
     v = rng.standard_normal(33)
     f = lambda lam: 1.0 / (1.0 + lam)
     g = lambda lam: np.exp(-1e-3 * lam)
-    left = apply_spectral(op, f, apply_spectral(op, g, v))
-    right = apply_spectral(op, lambda lam: f(lam) * g(lam), v)
+    left = op.apply(f, op.apply(g, v))
+    right = op.apply(lambda lam: f(lam) * g(lam), v)
     assert np.max(np.abs(left - right)) < 1e-11 * np.max(np.abs(right))
 
 
@@ -112,8 +107,8 @@ def test_spectral_symmetry_property():
     u, v = rng.standard_normal(29), rng.standard_normal(29)
     f = lambda lam: np.sqrt(lam)
     for metric in ("l2", "hminus1"):
-        a = inner_product(op, apply_spectral(op, f, u), v, metric)
-        b = inner_product(op, u, apply_spectral(op, f, v), metric)
+        a = op.inner(op.apply(f, u), v, metric)
+        b = op.inner(u, op.apply(f, v), metric)
         assert a == pytest.approx(b, rel=1e-11)
 
 
@@ -138,7 +133,7 @@ def test_cahn_hilliard_stabilized_nonlinearity():
     eps, kappa = 0.2, 2.0
     p = Problem(op, CahnHilliard(eps=eps, kappa=kappa))
     u = rng.uniform(-1, 1, 24)
-    lk_u = apply_spectral(op, lambda lam: eps**2 * lam**2 + kappa * lam, u)
+    lk_u = op.apply(lambda lam: eps**2 * lam**2 + kappa * lam, u)
     got = -lk_u + p.g_stabilized(u)
     l2u = op.apply_stencil(op.apply_stencil(u.copy()))
     want = -eps**2 * l2u - op.apply_stencil(u**3 - u)
@@ -148,7 +143,7 @@ def test_cahn_hilliard_stabilized_nonlinearity():
 def test_ch_energy_of_zero_state():
     op = build_laplacian_1d(2 * np.pi, 50)
     p = Problem(op, CahnHilliard(eps=0.2, kappa=2.0))
-    assert ch_energy(p, np.zeros(50)) == pytest.approx(op.h * 50 / 4, rel=1e-14)
+    assert p.energy(np.zeros(50)) == pytest.approx(op.h * 50 / 4, rel=1e-14)
 
 
 def test_ch_energy_of_scaled_eigenvector():
@@ -162,7 +157,7 @@ def test_ch_energy_of_scaled_eigenvector():
     v = s * vec
     stiff = 0.5 * eps**2 * op.h * s**2 * op.eigenvalues[k]
     bulk = op.h * np.sum(0.25 * (v**2 - 1) ** 2)
-    assert ch_energy(p, v) == pytest.approx(stiff + bulk, rel=1e-12)
+    assert p.energy(v) == pytest.approx(stiff + bulk, rel=1e-12)
 
 
 def test_ch_energy_nonnegative_on_random_states():
@@ -170,7 +165,7 @@ def test_ch_energy_nonnegative_on_random_states():
     op = build_laplacian_1d(2 * np.pi, 40)
     p = Problem(op, CahnHilliard(eps=0.2, kappa=2.0))
     for _ in range(5):
-        assert ch_energy(p, rng.uniform(-1.5, 1.5, 40)) >= 0.0
+        assert p.energy(rng.uniform(-1.5, 1.5, 40)) >= 0.0
 
 
 def test_semilinear_problem():
@@ -191,12 +186,13 @@ def test_errors():
         build_laplacian_1d(1.0, 1)
     op = build_laplacian_1d(1.0, 8)
     with pytest.raises(ValueError):
-        apply_spectral(op, lambda lam: lam, np.zeros(7))
+        op.apply(lambda lam: lam, np.zeros(7))
     with pytest.raises(ValueError):
-        apply_spectral(op, lambda lam: np.full_like(lam, np.inf), np.zeros(8))
+        op.apply(lambda lam: np.full_like(lam, np.inf), np.zeros(8))
     with pytest.raises(ValueError):
         op.inner(np.zeros(8), np.zeros(8), metric="h2")
     with pytest.raises(ValueError):
-        ch_energy(Problem(op, StabilizedSemilinear(kappa=1.0, g=lambda u: u)), np.zeros(8))
+        Problem(op, StabilizedSemilinear(kappa=1.0, g=lambda u: u)).energy(np.zeros(8))
     with pytest.raises(ValueError):
-        build_laplacian_1d(1.0, 8, transform="wavelet")
+        # eps^2 lam^2 + kappa lam < 0 on the lowest mode
+        Problem(op, CahnHilliard(eps=0.2, kappa=-5.0))
