@@ -263,8 +263,9 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.metric not in (None, "l2", "hminus1"):
         raise ConfigError(f"unknown metric {cfg.metric!r}")
-    if cfg.m < 2:
-        raise ConfigError("mesh must have at least 2 interior points")
+    # at the upper end, a 5-stage monitored run's two (s, s, m) caches take 400 MB
+    if not 2 <= cfg.m <= 2**20:
+        raise ConfigError(f"mesh must have 2 to {2**20} interior points, got {cfg.m}")
     if not all(math.isfinite(tau) and tau > 0 for tau in cfg.taus):
         raise ConfigError(f"step sizes must be finite and positive, got {cfg.taus}")
     if not (math.isfinite(cfg.t_final) and cfg.t_final >= 0):

@@ -7,10 +7,14 @@ One step of an s-stage method applied to the stabilized problem
 
 for ``i = 1..s``, where ``mu`` is the eigenvalue map of the stiff operator
 and each coefficient ``a_{i+1,j}`` is evaluated once per eigenvalue and
-cached for the whole run.
+cached for the whole run as one ``(s, s, m)`` array.  The state is carried
+in sine coefficients from step to step: each stage transforms only its
+nonlinearity forward and its result back, so a step costs ``2s`` sine
+transforms.  An unmonitored run evaluates one energy per step, that of the
+new state.
 
-When monitoring is on, each step also records the slack ("margin") of the
-stage energy inequality
+When monitoring is on, each step also computes the stage energies and
+records the slack ("margin") of the stage energy inequality
 
     E[U^{j+1}] - E[U^1]  <=  -(1/tau) * sum_{k<=j} <dU^{k+1},
                                 sum_{l<=k} d_{kl}(-tau*mu) dU^{l+1}>
@@ -70,52 +74,49 @@ class _StepWorkspace:
         if tau <= 0:
             raise ValueError(f"step size must be positive, got {tau}")
         self.problem = problem
-        self.tableau = tableau
         self.tau = float(tau)
         op = problem.op
-        self.mu = problem.spectral_shift(op.eigenvalues)
-        self.z = -self.tau * self.mu
+        self.tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
+        z = -self.tau_mu
         s = tableau.stages
-        self.coeff = [[np.asarray(evaluate(tableau.rows[i][j], self.z), dtype=float)
-                       for j in range(i + 1)]
-                      for i in range(s)]
+        # a_{i+1,j}(z) per eigenvalue, zero above the diagonal
+        self.coeff = np.zeros((s, s, op.m))
+        for i, row in enumerate(tableau.rows):
+            for j, entry in enumerate(row):
+                self.coeff[i, j] = evaluate(entry, z)
         self.dmats = None
         if monitor:
             # (m, s, s) -> (s, s, m): d_{kl} per eigenvalue
-            self.dmats = np.moveaxis(differentiation_matrix(tableau, self.z), 0, -1)
+            self.dmats = np.moveaxis(differentiation_matrix(tableau, z), 0, -1)
         self.metric_weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
 
-    def run_step(self, u_prev: np.ndarray, index: int) -> StepRecord:
-        # overflow in a blowing-up nonlinearity is handled via the
-        # divergence check, not floating-point warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._run_step(u_prev, index)
-
-    def _run_step(self, u_prev: np.ndarray, index: int) -> StepRecord:
+    def stages(self, u1: np.ndarray, u1_hat: np.ndarray, index: int):
+        """Stages ``U^1..U^{s+1}`` and their sine coefficients, from ``U^1``
+        and its coefficients; the caller guards against overflow warnings."""
         problem, op, tau = self.problem, self.problem.op, self.tau
-        s = self.tableau.stages
-        u1_hat = op.forward(u_prev)
-        stages = [u_prev]
-        w_hats = []
-        stage_hats = [u1_hat]
-        for i in range(s):
-            g_i = problem.g_stabilized(stages[i])
-            w_hats.append(tau * op.forward(g_i) - tau * self.mu * u1_hat)
-            acc = u1_hat.copy()
-            for j in range(i + 1):
-                acc += self.coeff[i][j] * w_hats[j]
+        tau_mu_u1 = self.tau_mu * u1_hat
+        w_hats = np.empty_like(self.coeff[0])
+        stages, hats = [u1], [u1_hat]
+        for i, row in enumerate(self.coeff):
+            w_hats[i] = tau * problem.g_stabilized(stages[i]) - tau_mu_u1
+            acc = u1_hat + (row[:i + 1] * w_hats[:i + 1]).sum(axis=0)
             u_next = op.inverse(acc)
             if not np.all(np.isfinite(u_next)):
                 raise DivergenceError(index)
             stages.append(u_next)
-            stage_hats.append(acc)
-        deltas = [stages[i + 1] - stages[i] for i in range(s)]
-        energies = np.array([problem.energy(u) for u in stages])
+            hats.append(acc)
+        return stages, hats
+
+    def record(self, stages: list, hats: list, e1: float, index: int) -> StepRecord:
+        """Full record of a step: stage energies (``E[U^1] = e1`` given),
+        deltas and, when monitoring, margins."""
+        energies = np.array([e1] + [self.problem.energy(u) for u in stages[1:]])
+        deltas = [b - a for a, b in zip(stages, stages[1:])]
         margins = None
         if self.dmats is not None:
-            delta_hats = [stage_hats[i + 1] - stage_hats[i] for i in range(s)]
+            delta_hats = [b - a for a, b in zip(hats, hats[1:])]
             margins = _margins_from_spectral(self.dmats, delta_hats, energies,
-                                             self.metric_weight, tau)
+                                             self.metric_weight, self.tau)
         return StepRecord(index, stages, deltas, energies, margins)
 
 
@@ -140,7 +141,10 @@ def step(problem: Problem, tableau: Tableau, u_prev, tau: float,
     :func:`integrate`, which caches across steps.
     """
     ws = _StepWorkspace(problem, tableau, tau, monitor)
-    return ws.run_step(np.asarray(u_prev, dtype=float), 0)
+    u = np.asarray(u_prev, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stages, hats = ws.stages(u, problem.op.forward(u), 0)
+        return ws.record(stages, hats, problem.energy(u), 0)
 
 
 def stage_energy_margin(problem: Problem, tableau: Tableau, record: StepRecord,
@@ -198,29 +202,34 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
     if snapshot_steps is not None and snapshots is None:
         raise ValueError("snapshot_steps given without a snapshots dict")
     u = np.asarray(u0, dtype=float).copy()
+    u_hat = problem.op.forward(u)
     ws = _StepWorkspace(problem, tableau, tau, monitor)
     energies = [problem.energy(u)]
     sup_norms = [float(np.max(np.abs(u)))]
     margins = [] if monitor else None
     diverged, diverged_step = False, None
     start = time.perf_counter()
-    done = 0
-    for n in range(1, n_steps + 1):
-        try:
-            rec = ws.run_step(u, n)
-        except DivergenceError as err:
-            diverged, diverged_step = True, err.step_index
-            break
-        u = rec.stages[-1]
-        done = n
-        energies.append(rec.energies[-1])
-        sup_norms.append(float(np.max(np.abs(u))))
-        if monitor:
-            margins.append(rec.margins)
-        if snapshot_steps is not None and n in snapshot_steps:
-            snapshots[n] = u.copy()
+    # overflow in a blowing-up nonlinearity is handled via the divergence
+    # check, not floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            try:
+                stages, hats = ws.stages(u, u_hat, n)
+            except DivergenceError as err:
+                diverged, diverged_step = True, err.step_index
+                break
+            if monitor:
+                rec = ws.record(stages, hats, energies[-1], n)
+                energies.append(rec.energies[-1])
+                margins.append(rec.margins)
+            else:
+                energies.append(problem.energy(stages[-1]))
+            u, u_hat = stages[-1], hats[-1]
+            sup_norms.append(float(np.max(np.abs(u))))
+            if snapshot_steps is not None and n in snapshot_steps:
+                snapshots[n] = u.copy()
     wall = time.perf_counter() - start
-    times = tau * np.arange(done + 1)
+    times = tau * np.arange(len(energies))
     return RunReport(
         method=tableau.label,
         tau=tau,

@@ -16,6 +16,9 @@ energies approximate integrals.
   product ``<u, L^{-1} v>``.
 * ``StabilizedSemilinear(kappa, g)``: the stiff operator is ``L + kappa I``
   with nonlinearity ``g(u) + kappa u`` in the plain L^2 setting.
+
+``Problem.g_stabilized`` returns the nonlinearity in sine coefficients, the
+form the stage loop works in.
 """
 
 from __future__ import annotations
@@ -142,9 +145,11 @@ class Problem:
         return lam + self.kind.kappa
 
     def g_stabilized(self, u: np.ndarray) -> np.ndarray:
+        """Sine coefficients (``op.forward``) of the stabilized nonlinearity
+        at the physical state ``u``."""
         if isinstance(self.kind, CahnHilliard):
-            return self.op.apply_stencil((1.0 + self.kind.kappa) * u - u**3)
-        return self.kind.g(u) + self.kind.kappa * u
+            return self.op.eigenvalues * self.op.forward((1.0 + self.kind.kappa) * u - u * u * u)
+        return self.op.forward(self.kind.g(u) + self.kind.kappa * u)
 
     def energy(self, v: np.ndarray) -> float:
         """Discrete free energy ``(stiff quadratic)/2 + h * sum G(v)``."""

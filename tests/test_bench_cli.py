@@ -269,6 +269,8 @@ def test_cli_config_file_with_flag_override(capsys, tmp_path):
     ["converge", "--method", "etd1", "--T", "0.013"],
     ["analyze", "--method", "etd1", "--grid", "lin:nan:0:3"],
     ["analyze", "--method", "etd1", "--grid", "lin:-1:0:-3"],
+    ["energy", "--method", "etd1", "--m", "100000000"],
+    ["energy", "--method", "etd1", "--h", "1e-9"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -276,6 +278,7 @@ def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_energy_divergence_exit_code(capsys, tmp_path):
     code = main(["energy", "--method", "eerk2:c2=1", "--m", "31",
                  "--kappa", "0", "--tau", "5", "--T", "100",

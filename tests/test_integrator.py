@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eerk.integrator import integrate, stage_energy_margin, step
-from eerk.phi import phi
+from eerk.phi import evaluate, phi
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 from eerk.tableaux import get_method
 
@@ -157,6 +157,7 @@ def test_single_step_run_and_bad_horizon():
         step(p, get_method("etd1"), u0, -0.1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_is_reported_not_raised():
     # blow-up nonlinearity at a large step diverges quickly
     p = semilinear(m=16, kappa=0.1, g=lambda u: u**3)
@@ -178,3 +179,46 @@ def test_snapshots_collect_requested_steps():
     assert store[10] == pytest.approx(rep.final_state)
     with pytest.raises(ValueError):
         integrate(p, get_method("etd1"), u0, 0.1, 1.0, snapshot_steps={1})
+
+
+def _physical_stage_loop(p, tableau, u0, tau, n_steps):
+    # the stage loop as first written: every step transforms its start
+    # state, and each stage forms L((1 + kappa) U - U^3) with the stencil
+    op, kappa = p.op, p.kind.kappa
+    tau_mu = tau * p.spectral_shift(op.eigenvalues)
+    coeff = [[evaluate(entry, -tau_mu) for entry in row] for row in tableau.rows]
+    u = u0.copy()
+    for _ in range(n_steps):
+        u1_hat = op.forward(u)
+        stages, w_hats = [u], []
+        for row in coeff:
+            g = op.apply_stencil((1.0 + kappa) * stages[-1] - stages[-1] ** 3)
+            w_hats.append(tau * op.forward(g) - tau_mu * u1_hat)
+            acc = u1_hat.copy()
+            for a, w in zip(row, w_hats):
+                acc += a * w
+            stages.append(op.inverse(acc))
+        u = stages[-1]
+    return u
+
+
+@pytest.mark.parametrize("name,c2,tau", [("eerk2w", "3/11", 0.00125), ("eerk31", "4/9", 0.1)])
+def test_spectral_state_loop_matches_physical_stage_loop(name, c2, tau):
+    p = cahn_hilliard(m=639)
+    u0 = 0.5 * np.sin(p.op.x)
+    t = get_method(name, c2=c2)
+    rep = integrate(p, t, u0, tau, 20 * tau)
+    want = _physical_stage_loop(p, t, u0, tau, 20)
+    assert np.max(np.abs(rep.final_state - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name,c2,tau", [("eerk2w", "3/11", 0.00125), ("eerk31", "4/9", 0.1)])
+def test_monitoring_does_not_change_the_path(name, c2, tau):
+    p = cahn_hilliard(m=639)
+    u0 = 0.5 * np.sin(p.op.x)
+    t = get_method(name, c2=c2)
+    plain = integrate(p, t, u0, tau, 20 * tau)
+    watched = integrate(p, t, u0, tau, 20 * tau, monitor=True)
+    assert plain.margins is None and watched.margins.shape == (20, t.stages)
+    assert np.array_equal(plain.final_state, watched.final_state)
+    assert np.array_equal(plain.energies, watched.energies)
