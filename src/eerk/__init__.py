@@ -26,7 +26,7 @@ from eerk.dissipation import (
     doc_kernels,
     leading_principal_minors,
 )
-from eerk.integrator import RunReport, StepRecord, integrate, stage_energy_margin, step
+from eerk.integrator import RunReport, StepRecord, integrate, step
 from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, Var, evaluate, phi
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 from eerk.tableaux import (
@@ -67,7 +67,6 @@ __all__ = [
     "Problem",
     "step",
     "integrate",
-    "stage_energy_margin",
     "StepRecord",
     "RunReport",
 ]

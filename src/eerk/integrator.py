@@ -4,25 +4,29 @@ One step of an s-stage method applied to the stabilized problem
 ``u' = -L u + g(u)`` reads, entirely in the sine eigenbasis,
 
     U^{i+1} = U^1 + sum_{j<=i} a_{i+1,j}(-tau*mu) [tau*g(U^j) - tau*mu*U^1]
+            = b_i U^1 + sum_{j<=i} tau a_{i+1,j} g(U^j)
 
-for ``i = 1..s``, where ``mu`` is the eigenvalue map of the stiff operator
-and each coefficient ``a_{i+1,j}`` is evaluated once per eigenvalue and
-cached for the whole run as one ``(s, s, m)`` array.  The state is carried
+for ``i = 1..s``, with ``b_i = 1 - tau*mu sum_j a_{i+1,j}`` and ``mu`` the
+eigenvalue map of the stiff operator.  ``tau a_{i+1,j}`` and ``b_i`` are
+evaluated once per eigenvalue and cached for the run.  The state is carried
 in sine coefficients from step to step: each stage transforms only its
 nonlinearity forward and its result back, so a step costs ``2s`` sine
-transforms.  An unmonitored run evaluates one energy per step, that of the
-new state.
+transforms and fills two ``(s+1, m)`` arrays, the stages and their
+coefficients.  An unmonitored run evaluates one energy per step, that of
+the new state, from coefficients it already holds.
 
-When monitoring is on, each step also computes the stage energies and
-records the slack ("margin") of the stage energy inequality
+When monitoring is on, each step also computes its stage energies in one
+call and records the slack ("margin") of the stage energy inequality
 
     E[U^{j+1}] - E[U^1]  <=  -(1/tau) * sum_{k<=j} <dU^{k+1},
                                 sum_{l<=k} d_{kl}(-tau*mu) dU^{l+1}>
 
 in the problem's metric (H^{-1} for Cahn-Hilliard, L^2 otherwise), where
 ``dU^{i+1} = U^{i+1} - U^i`` and ``d_{kl}`` is the differentiation matrix
-evaluated per eigenvalue.  Nonnegative margins certify that the inequality
-held for that step.
+evaluated per eigenvalue.  Every term is diagonal in the sine basis, so the
+quadratic forms are one contraction of a metric-weighted ``(s, s, m)``
+cache of ``d_{kl}`` with the coefficient increments, and a cumulative sum.
+Nonnegative margins certify that the inequality held for that step.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ __all__ = [
     "StepRecord",
     "RunReport",
     "step",
-    "stage_energy_margin",
     "integrate",
 ]
 
@@ -60,15 +63,14 @@ class DivergenceError(ArithmeticError):
 class StepRecord:
     """Stages, stage increments, energies and margins of one step."""
 
-    index: int
-    stages: list  # U^{n,1} .. U^{n,s+1}
-    deltas: list  # U^{n,i+1} - U^{n,i} for i = 1..s
+    stages: np.ndarray  # (s+1, m): U^{n,1} .. U^{n,s+1}
+    deltas: np.ndarray  # (s, m): U^{n,i+1} - U^{n,i} for i = 1..s
     energies: np.ndarray  # E[U^{n,j}] for j = 1..s+1
     margins: Optional[np.ndarray] = None  # slack of the stage law, j = 1..s
 
 
 class _StepWorkspace:
-    """Spectral coefficient cache for a fixed (problem, tableau, tau)."""
+    """Folded spectral coefficient cache for a fixed (problem, tableau, tau)."""
 
     def __init__(self, problem: Problem, tableau: Tableau, tau: float, monitor: bool):
         if tau <= 0:
@@ -76,61 +78,45 @@ class _StepWorkspace:
         self.problem = problem
         self.tau = float(tau)
         op = problem.op
-        self.tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
-        z = -self.tau_mu
+        tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
         s = tableau.stages
         # a_{i+1,j}(z) per eigenvalue, zero above the diagonal
-        self.coeff = np.zeros((s, s, op.m))
+        a = np.zeros((s, s, op.m))
         for i, row in enumerate(tableau.rows):
             for j, entry in enumerate(row):
-                self.coeff[i, j] = evaluate(entry, z)
+                a[i, j] = evaluate(entry, -tau_mu)
+        self.b = 1.0 - tau_mu * a.sum(axis=1)
+        self.coeff = self.tau * a
         self.dmats = None
         if monitor:
-            # (m, s, s) -> (s, s, m): d_{kl} per eigenvalue
-            self.dmats = np.moveaxis(differentiation_matrix(tableau, z), 0, -1)
-        self.metric_weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
+            # d_{kl}(z), zero above the diagonal, times the metric weight
+            d = differentiation_matrix(tableau, -tau_mu)
+            weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
+            self.dmats = np.ascontiguousarray(np.moveaxis(d, 0, -1) * weight)
 
     def stages(self, u1: np.ndarray, u1_hat: np.ndarray, index: int):
-        """Stages ``U^1..U^{s+1}`` and their sine coefficients, from ``U^1``
-        and its coefficients; the caller guards against overflow warnings."""
-        problem, op, tau = self.problem, self.problem.op, self.tau
-        tau_mu_u1 = self.tau_mu * u1_hat
-        w_hats = np.empty_like(self.coeff[0])
-        stages, hats = [u1], [u1_hat]
-        for i, row in enumerate(self.coeff):
-            w_hats[i] = tau * problem.g_stabilized(stages[i]) - tau_mu_u1
-            acc = u1_hat + (row[:i + 1] * w_hats[:i + 1]).sum(axis=0)
-            u_next = op.inverse(acc)
-            if not np.all(np.isfinite(u_next)):
+        """Stages ``U^1..U^{s+1}`` and their sine coefficients, as two
+        ``(s+1, m)`` arrays, from ``U^1`` and its coefficients; the caller
+        guards against overflow warnings."""
+        problem, op = self.problem, self.problem.op
+        u = np.empty((len(self.b) + 1, op.m))
+        u_hat = np.empty_like(u)
+        g_hats = np.empty_like(self.b)
+        u[0], u_hat[0] = u1, u1_hat
+        for i, (row, b) in enumerate(zip(self.coeff, self.b)):
+            g_hats[i] = problem.g_stabilized(u[i])
+            u_hat[i + 1] = b * u1_hat + (row[:i + 1] * g_hats[:i + 1]).sum(axis=0)
+            u[i + 1] = op.inverse(u_hat[i + 1])
+            if not np.all(np.isfinite(u[i + 1])):
                 raise DivergenceError(index)
-            stages.append(u_next)
-            hats.append(acc)
-        return stages, hats
+        return u, u_hat
 
-    def record(self, stages: list, hats: list, e1: float, index: int) -> StepRecord:
-        """Full record of a step: stage energies (``E[U^1] = e1`` given),
-        deltas and, when monitoring, margins."""
-        energies = np.array([e1] + [self.problem.energy(u) for u in stages[1:]])
-        deltas = [b - a for a, b in zip(stages, stages[1:])]
-        margins = None
-        if self.dmats is not None:
-            delta_hats = [b - a for a, b in zip(hats, hats[1:])]
-            margins = _margins_from_spectral(self.dmats, delta_hats, energies,
-                                             self.metric_weight, self.tau)
-        return StepRecord(index, stages, deltas, energies, margins)
-
-
-def _margins_from_spectral(dmats, delta_hats, energies, weight, tau):
-    s = len(delta_hats)
-    margins = np.empty(s)
-    quad = 0.0
-    for k in range(s):
-        v = np.zeros_like(delta_hats[0])
-        for l in range(k + 1):
-            v += dmats[k, l] * delta_hats[l]
-        quad += float(np.sum(weight * delta_hats[k] * v))
-        margins[k] = -quad / tau - (energies[k + 1] - energies[0])
-    return margins
+    def margins(self, u_hat: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """Margins of a step from its stage coefficients and its energy gaps
+        ``E[U^{j+1}] - E[U^1]``."""
+        delta_hats = np.diff(u_hat, axis=0)
+        quad = np.einsum("klm,km,lm->k", self.dmats, delta_hats, delta_hats)
+        return -np.cumsum(quad) / self.tau - gaps
 
 
 def step(problem: Problem, tableau: Tableau, u_prev, tau: float,
@@ -144,21 +130,9 @@ def step(problem: Problem, tableau: Tableau, u_prev, tau: float,
     u = np.asarray(u_prev, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         stages, hats = ws.stages(u, problem.op.forward(u), 0)
-        return ws.record(stages, hats, problem.energy(u), 0)
-
-
-def stage_energy_margin(problem: Problem, tableau: Tableau, record: StepRecord,
-                        tau: float) -> np.ndarray:
-    """Margins of the stage energy inequality for a completed step.
-
-    Recomputes the quadratic form from the record's stage increments,
-    independently of the cached path inside :func:`integrate`.
-    """
-    op = problem.op
-    dmats = np.moveaxis(differentiation_matrix(tableau, -tau * problem.spectral_shift(op.eigenvalues)), 0, -1)
-    delta_hats = [op.forward(d) for d in record.deltas]
-    weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
-    return _margins_from_spectral(dmats, delta_hats, record.energies, weight, tau)
+        energies = problem.energy(stages, hats)
+        margins = ws.margins(hats, energies[1:] - energies[0]) if monitor else None
+    return StepRecord(stages, np.diff(stages, axis=0), energies, margins)
 
 
 @dataclass
@@ -193,10 +167,11 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
               monitor: bool = False, snapshot_steps=None, snapshots=None) -> RunReport:
     """Run ``t_final / tau`` steps from ``u0``.
 
-    ``snapshot_steps``/``snapshots``: optional set and dict; after step ``n``
-    in the set, a copy of the state is stored under key ``n`` (used by the
-    convergence driver to sample a reference run).  On divergence the report
-    is truncated at the last finite step and flagged.
+    ``snapshot_steps``/``snapshots``: optional container of step numbers
+    and a mapping; after step ``n`` in the container, a copy of the state is
+    stored under key ``n`` (used by the convergence driver to sample a
+    reference run and to fold the errors of a coarse run).  On divergence
+    the report is truncated at the last finite step and flagged.
     """
     n_steps = _step_count(t_final, tau)
     if snapshot_steps is not None and snapshots is None:
@@ -204,7 +179,7 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
     u = np.asarray(u0, dtype=float).copy()
     u_hat = problem.op.forward(u)
     ws = _StepWorkspace(problem, tableau, tau, monitor)
-    energies = [problem.energy(u)]
+    energies = [problem.energy(u, u_hat)]
     sup_norms = [float(np.max(np.abs(u)))]
     margins = [] if monitor else None
     diverged, diverged_step = False, None
@@ -218,13 +193,13 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
             except DivergenceError as err:
                 diverged, diverged_step = True, err.step_index
                 break
-            if monitor:
-                rec = ws.record(stages, hats, energies[-1], n)
-                energies.append(rec.energies[-1])
-                margins.append(rec.margins)
-            else:
-                energies.append(problem.energy(stages[-1]))
             u, u_hat = stages[-1], hats[-1]
+            if monitor:
+                stage_energies = problem.energy(stages[1:], hats[1:])
+                margins.append(ws.margins(hats, stage_energies - energies[-1]))
+                energies.append(stage_energies[-1])
+            else:
+                energies.append(problem.energy(u, u_hat))
             sup_norms.append(float(np.max(np.abs(u))))
             if snapshot_steps is not None and n in snapshot_steps:
                 snapshots[n] = u.copy()

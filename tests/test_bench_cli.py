@@ -271,6 +271,15 @@ def test_cli_config_file_with_flag_override(capsys, tmp_path):
     ["analyze", "--method", "etd1", "--grid", "lin:-1:0:-3"],
     ["energy", "--method", "etd1", "--m", "100000000"],
     ["energy", "--method", "etd1", "--h", "1e-9"],
+    ["energy", "--method", "etd1", "--T", "0.1", "--eps", "inf"],
+    ["energy", "--method", "etd1", "--T", "0.1", "--eps", "1e200"],
+    ["energy", "--method", "etd1", "--T", "0.1", "--eps", "-0.2"],
+    ["energy", "--method", "etd1", "--T", "0.1", "--kappa", "inf"],
+    ["energy", "--method", "etd1", "--T", "0.1", "--kappa", "1e308"],
+    ["energy", "--method", "etd1", "--T", "1e300", "--tau", "0.1"],
+    ["energy", "--method", "etd1", "--tau", "1e-300", "--T", "0.1"],
+    ["energy", "--method", "etd1", "--tau", "1e-300", "--T", "1e300"],
+    ["converge", "--method", "etd1", "--tau", "0.1", "--T", "0.1", "--ref-tau", "1e-300"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2

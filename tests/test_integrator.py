@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from eerk.integrator import integrate, stage_energy_margin, step
+from eerk.dissipation import differentiation_matrix
+from eerk.integrator import integrate, step
 from eerk.phi import evaluate, phi
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 from eerk.tableaux import get_method
@@ -106,15 +107,36 @@ def test_step_record_chaining_and_deltas():
     assert len(rec.energies) == 3
 
 
+def _margin_loop(p, tableau, rec, tau):
+    # the margin quadratic form as first written: one multiply-add per (k, l)
+    # on the record's physical increments, with energies from the stencil
+    op = p.op
+    dmats = np.moveaxis(differentiation_matrix(tableau, -tau * p.spectral_shift(op.eigenvalues)), 0, -1)
+    delta_hats = [op.forward(d) for d in rec.deltas]
+    weight = op.h / op.eigenvalues if p.metric == "hminus1" else op.h
+    eps2 = p.kind.eps**2
+    energies = [0.5 * eps2 * op.inner(v, op.apply_stencil(v)) + op.h * np.sum(0.25 * (v**2 - 1.0) ** 2)
+                for v in rec.stages]
+    margins = np.empty(len(delta_hats))
+    quad = 0.0
+    for k in range(len(delta_hats)):
+        v = np.zeros_like(delta_hats[0])
+        for l in range(k + 1):
+            v += dmats[k, l] * delta_hats[l]
+        quad += float(np.sum(weight * delta_hats[k] * v))
+        margins[k] = -quad / tau - (energies[k + 1] - energies[0])
+    return margins
+
+
 def test_monitor_margins_match_standalone_recomputation():
     p = cahn_hilliard(m=40)
     u = 0.4 * np.sin(p.op.x) - 0.1 * np.sin(2 * p.op.x)
-    for name, params in [("eerk2w", {"c2": "1/2"}), ("eerk31", {"c2": "4/9"})]:
+    for name, params in [("eerk2w", {"c2": "1/2"}), ("eerk31", {"c2": "4/9"}), ("ho4", {})]:
         t = get_method(name, **params)
         rec = step(p, t, u, 0.1, monitor=True)
-        again = stage_energy_margin(p, t, rec, 0.1)
-        scale = max(1.0, float(np.max(np.abs(rec.margins))))
-        assert np.max(np.abs(rec.margins - again)) < 1e-9 * scale
+        want = _margin_loop(p, t, rec, 0.1)
+        assert rec.margins.shape == (t.stages,)
+        assert np.max(np.abs(rec.margins - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_etd1_margin_against_direct_quadratic_form():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from eerk.phi import phi
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
@@ -53,6 +54,14 @@ def test_transform_matches_dense_sine_matrix(m):
     assert np.max(np.abs(op.forward(v) - basis @ v)) < 1e-12
     want = basis @ (op.eigenvalues * (basis @ v))
     assert np.max(np.abs(op.apply_values(op.eigenvalues, v) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [2, 57, 639, 1279, 4095])
+def test_forward_is_bit_identical_to_scipy_fft_dst(m):
+    rng = np.random.default_rng(m)
+    op = build_laplacian_1d(4.0, m)
+    for v in (rng.standard_normal(m), rng.standard_normal((3, m))):
+        assert np.array_equal(op.forward(v), scipy.fft.dst(v, type=1, norm="ortho"))
 
 
 def test_spectral_laplacian_matches_stencil():
@@ -168,6 +177,30 @@ def test_ch_energy_nonnegative_on_random_states():
         assert p.energy(rng.uniform(-1.5, 1.5, 40)) >= 0.0
 
 
+@pytest.mark.parametrize("kind", ["cahn_hilliard", "semilinear"])
+def test_energy_from_coefficients_matches_stencil_form(kind):
+    # oracle: 0.5 c <v, L v> with the tridiagonal stencil, plus h sum G(v)
+    rng = np.random.default_rng(20)
+    op = build_laplacian_1d(2 * np.pi, 639)
+    if kind == "cahn_hilliard":
+        p, c = Problem(op, CahnHilliard(eps=0.2, kappa=2.0)), 0.2**2
+        density = lambda v: 0.25 * (v**2 - 1.0) ** 2
+    else:
+        density = lambda v: 0.25 * v**4
+        p, c = Problem(op, StabilizedSemilinear(kappa=1.0, g=lambda u: -u**3,
+                                                potential=density)), 1.0
+    batch = rng.uniform(-1.5, 1.5, (3, 639)) + np.sin(op.x)
+    want = [0.5 * c * op.inner(v, op.apply_stencil(v)) + op.h * np.sum(density(v))
+            for v in batch]
+    for v, e in zip(batch, want):
+        assert isinstance(p.energy(v), float)
+        assert p.energy(v) == pytest.approx(e, rel=1e-12)
+        assert p.energy(v, op.forward(v)) == pytest.approx(e, rel=1e-12)
+    for got in (p.energy(batch), p.energy(batch, op.forward(batch))):
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
 def test_semilinear_problem():
     op = build_laplacian_1d(2 * np.pi, 20)
     p = Problem(op, StabilizedSemilinear(kappa=1.0, g=lambda u: -u**3,
@@ -196,3 +229,12 @@ def test_errors():
     with pytest.raises(ValueError):
         # eps^2 lam^2 + kappa lam < 0 on the lowest mode
         Problem(op, CahnHilliard(eps=0.2, kappa=-5.0))
+    # negative, non-finite or overflowing parameters, without a warning
+    with np.errstate(all="raise"):
+        for eps, kappa in [(-0.2, 2.0), (np.inf, 2.0), (np.nan, 2.0), (1e200, 2.0),
+                           (0.2, np.inf), (0.2, np.nan), (0.2, 1e308)]:
+            with pytest.raises(ValueError):
+                Problem(op, CahnHilliard(eps=eps, kappa=kappa))
+        for kappa in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                Problem(op, StabilizedSemilinear(kappa=kappa, g=lambda u: u))
