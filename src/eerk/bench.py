@@ -28,7 +28,7 @@ from eerk.dissipation import (
     default_z_grid,
     scan_method,
 )
-from eerk.integrator import RunReport, _step_count, integrate
+from eerk.integrator import _step_count, integrate
 from eerk.spatial import CahnHilliard, Problem, build_laplacian_1d
 from eerk.tableaux import MethodError, parse_method
 
@@ -92,6 +92,10 @@ def initial_profile(name: str, x: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown initial profile {name!r} (known: sine, bumps)")
 
 
+# largest mesh and largest z-grid chunk: 8 MB per vector
+_MAX_POINTS = 2**20
+
+
 def parse_z_grid(spec: str) -> np.ndarray:
     """Grid specs: ``default``, ``lin:a:b:n``, ``log:min:max:n`` (log in
     |z|), and ``+``-joined unions thereof."""
@@ -104,8 +108,8 @@ def parse_z_grid(spec: str) -> np.ndarray:
             kind, a, b, n = fields[0], float(fields[1]), float(fields[2]), int(fields[3])
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"malformed grid spec {chunk!r}") from exc
-        if not (math.isfinite(a) and math.isfinite(b) and n >= 1):
-            raise ConfigError(f"grid spec {chunk!r} needs finite bounds and at least 1 point")
+        if not (math.isfinite(a) and math.isfinite(b) and 1 <= n <= _MAX_POINTS):
+            raise ConfigError(f"grid spec {chunk!r} needs finite bounds and 1 to {_MAX_POINTS} points")
         if kind == "lin":
             parts.append(np.linspace(a, b, n))
         elif kind == "log":
@@ -237,6 +241,8 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     try:
         if "length" in raw:  # must precede a spacing-based mesh size
             cfg.length = float(raw.pop("length"))
+            if not (math.isfinite(cfg.length) and cfg.length > 0):
+                raise ConfigError(f"interval length must be finite and positive, got {cfg.length}")
         for key, value in raw.items():
             if key == "method":
                 specs = value if isinstance(value, list) else [s for s in value.split(",") if s]
@@ -268,9 +274,9 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.metric not in (None, "l2", "hminus1"):
         raise ConfigError(f"unknown metric {cfg.metric!r}")
-    # at the upper end, a 5-stage monitored run's two (s, s, m) caches take 400 MB
-    if not 2 <= cfg.m <= 2**20:
-        raise ConfigError(f"mesh must have 2 to {2**20} interior points, got {cfg.m}")
+    # at the upper end, a 5-stage monitored run's coefficient caches take 440 MB
+    if not 2 <= cfg.m <= _MAX_POINTS:
+        raise ConfigError(f"mesh must have 2 to {_MAX_POINTS} interior points, got {cfg.m}")
     if not all(math.isfinite(tau) and tau > 0 for tau in cfg.taus):
         raise ConfigError(f"step sizes must be finite and positive, got {cfg.taus}")
     if not (math.isfinite(cfg.t_final) and cfg.t_final >= 0):
@@ -390,14 +396,7 @@ def run_energy(cfg: ExperimentConfig):
     tau = cfg.taus[0]
     reports = {}
     for t in tableaux:
-        if cfg.t_final == 0.0:
-            report = RunReport(method=t.label, tau=tau, times=np.zeros(1),
-                               energies=np.array([problem.energy(u0)]),
-                               sup_norms=np.array([float(np.max(np.abs(u0)))]),
-                               final_state=u0.copy(), margins=None,
-                               diverged=False, diverged_step=None, wall_time=0.0)
-        else:
-            report = integrate(problem, t, u0, tau, cfg.t_final, monitor=cfg.monitor)
+        report = integrate(problem, t, u0, tau, cfg.t_final, monitor=cfg.monitor)
         reports[t.label] = report
         if cfg.out is not None:
             slug = _slug(t.label)

@@ -7,16 +7,26 @@ One step of an s-stage method applied to the stabilized problem
             = b_i U^1 + sum_{j<=i} tau a_{i+1,j} g(U^j)
 
 for ``i = 1..s``, with ``b_i = 1 - tau*mu sum_j a_{i+1,j}`` and ``mu`` the
-eigenvalue map of the stiff operator.  ``tau a_{i+1,j}`` and ``b_i`` are
-evaluated once per eigenvalue and cached for the run.  The state is carried
-in sine coefficients from step to step: each stage transforms only its
+eigenvalue map of the stiff operator.  ``b_i`` and ``tau a_{i+1,j}`` are
+evaluated once per eigenvalue and cached for the run as one ``(s, s+1, m)``
+array, so each stage is one contraction of its row with the terms
+``[U^1, g(U^1) .. g(U^s)]`` in sine coefficients.  The state is carried in
+sine coefficients from step to step: each stage transforms only its
 nonlinearity forward and its result back, so a step costs ``2s`` sine
-transforms and fills two ``(s+1, m)`` arrays, the stages and their
-coefficients.  An unmonitored run evaluates one energy per step, that of
-the new state, from coefficients it already holds.
+transforms.
 
-When monitoring is on, each step also computes its stage energies in one
-call and records the slack ("margin") of the stage energy inequality
+The loop runs in blocks of up to 16 steps.  The steps of a block write their
+stages into one ``(16s+1, m)`` buffer and its sine-coefficient twin, each
+step starting from the row where the previous one ended.  Only then is the
+block checked and recorded, with one call for each job: the sup-norms of all
+stage rows, whose first non-finite value names the diverged step (the report
+stops before it, and the later steps of the block are dropped); the energies
+of the step ends, or of every stage when monitoring; the margins; and the
+snapshot copies.  A buffer holds at most 2**16 values, so an s-stage
+method takes shorter blocks on meshes above ``4096/s`` points.
+
+When monitoring is on, each step also records the slack ("margin") of the
+stage energy inequality
 
     E[U^{j+1}] - E[U^1]  <=  -(1/tau) * sum_{k<=j} <dU^{k+1},
                                 sum_{l<=k} d_{kl}(-tau*mu) dU^{l+1}>
@@ -24,9 +34,10 @@ call and records the slack ("margin") of the stage energy inequality
 in the problem's metric (H^{-1} for Cahn-Hilliard, L^2 otherwise), where
 ``dU^{i+1} = U^{i+1} - U^i`` and ``d_{kl}`` is the differentiation matrix
 evaluated per eigenvalue.  Every term is diagonal in the sine basis, so the
-quadratic forms are one contraction of a metric-weighted ``(s, s, m)``
-cache of ``d_{kl}`` with the coefficient increments, and a cumulative sum.
-Nonnegative margins certify that the inequality held for that step.
+quadratic forms of a block are one contraction of a metric-weighted
+``(s, s, m)`` cache of ``d_{kl}`` with the coefficient increments, and a
+cumulative sum.  Nonnegative margins certify that the inequality held for
+that step.
 """
 
 from __future__ import annotations
@@ -41,6 +52,11 @@ from eerk.dissipation import differentiation_matrix
 from eerk.phi import evaluate
 from eerk.spatial import Problem
 from eerk.tableaux import Tableau
+
+# steps per block, and stage values per block buffer (512 kB), so that a
+# large mesh does not pay for the batching in memory
+_BLOCK_STEPS = 16
+_BLOCK_VALUES = 2**16
 
 __all__ = [
     "DivergenceError",
@@ -85,8 +101,15 @@ class _StepWorkspace:
         for i, row in enumerate(tableau.rows):
             for j, entry in enumerate(row):
                 a[i, j] = evaluate(entry, -tau_mu)
-        self.b = 1.0 - tau_mu * a.sum(axis=1)
-        self.coeff = self.tau * a
+        # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s]:
+        # column 0 holds b_i, column j the folded tau a_{i+1,j}
+        coeff = np.empty((s, s + 1, op.m))
+        coeff[:, 0] = 1.0 - tau_mu * a.sum(axis=1)
+        coeff[:, 1:] = self.tau * a
+        terms = np.empty((s + 1, op.m))
+        # stage i+1 reads only the terms already formed
+        self.rows = [(coeff[i, :i + 2], terms[:i + 2]) for i in range(s)]
+        self.terms = terms
         self.dmats = None
         if monitor:
             # d_{kl}(z), zero above the diagonal, times the metric weight
@@ -94,29 +117,26 @@ class _StepWorkspace:
             weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
             self.dmats = np.ascontiguousarray(np.moveaxis(d, 0, -1) * weight)
 
-    def stages(self, u1: np.ndarray, u1_hat: np.ndarray, index: int):
-        """Stages ``U^1..U^{s+1}`` and their sine coefficients, as two
-        ``(s+1, m)`` arrays, from ``U^1`` and its coefficients; the caller
-        guards against overflow warnings."""
-        problem, op = self.problem, self.problem.op
-        u = np.empty((len(self.b) + 1, op.m))
-        u_hat = np.empty_like(u)
-        g_hats = np.empty_like(self.b)
-        u[0], u_hat[0] = u1, u1_hat
-        for i, (row, b) in enumerate(zip(self.coeff, self.b)):
-            g_hats[i] = problem.g_stabilized(u[i])
-            u_hat[i + 1] = b * u1_hat + (row[:i + 1] * g_hats[:i + 1]).sum(axis=0)
-            u[i + 1] = op.inverse(u_hat[i + 1])
-            if not np.all(np.isfinite(u[i + 1])):
-                raise DivergenceError(index)
-        return u, u_hat
+    def advance(self, u: np.ndarray, u_hat: np.ndarray, r: int) -> None:
+        """Fill rows ``r+1..r+s`` of the stage buffer ``u`` and of its sine
+        coefficients ``u_hat`` with the stages of the step from row ``r``.
+        No row is checked for divergence; the caller does that and guards
+        against overflow warnings."""
+        problem, inverse = self.problem, self.problem.op.inverse
+        self.terms[0] = u_hat[r]
+        for i, (row, terms) in enumerate(self.rows, start=r):
+            terms[-1] = problem.g_stabilized(u[i])
+            np.einsum("jm,jm->m", row, terms, out=u_hat[i + 1])
+            u[i + 1] = inverse(u_hat[i + 1])
 
     def margins(self, u_hat: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-        """Margins of a step from its stage coefficients and its energy gaps
-        ``E[U^{j+1}] - E[U^1]``."""
-        delta_hats = np.diff(u_hat, axis=0)
-        quad = np.einsum("klm,km,lm->k", self.dmats, delta_hats, delta_hats)
-        return -np.cumsum(quad) / self.tau - gaps
+        """Margins, shape ``(k, s)``, of ``k`` consecutive steps from their
+        ``k*s + 1`` stage coefficient rows and their energy gaps
+        ``E[U^{j+1}] - E[U^1]``, shape ``(k, s)``."""
+        k, s = gaps.shape
+        delta_hats = np.diff(u_hat, axis=0).reshape(k, s, -1)
+        quad = np.einsum("klm,nkm,nlm->nk", self.dmats, delta_hats, delta_hats)
+        return -np.cumsum(quad, axis=1) / self.tau - gaps
 
 
 def step(problem: Problem, tableau: Tableau, u_prev, tau: float,
@@ -124,14 +144,20 @@ def step(problem: Problem, tableau: Tableau, u_prev, tau: float,
     """Advance one step from ``u_prev``; see the module docstring.
 
     Builds the coefficient cache on the fly; for multi-step runs use
-    :func:`integrate`, which caches across steps.
+    :func:`integrate`, which caches across steps.  Raises
+    :class:`DivergenceError` when a stage is not finite.
     """
     ws = _StepWorkspace(problem, tableau, tau, monitor)
-    u = np.asarray(u_prev, dtype=float)
+    stages = np.empty((tableau.stages + 1, problem.op.m))
+    hats = np.empty_like(stages)
+    stages[0] = u_prev
     with np.errstate(over="ignore", invalid="ignore"):
-        stages, hats = ws.stages(u, problem.op.forward(u), 0)
+        hats[0] = problem.op.forward(stages[0])
+        ws.advance(stages, hats, 0)
+        if not np.all(np.isfinite(stages[1:])):
+            raise DivergenceError(0)
         energies = problem.energy(stages, hats)
-        margins = ws.margins(hats, energies[1:] - energies[0]) if monitor else None
+        margins = ws.margins(hats, (energies[1:] - energies[0])[None])[0] if monitor else None
     return StepRecord(stages, np.diff(stages, axis=0), energies, margins)
 
 
@@ -165,7 +191,8 @@ def _step_count(t_final: float, tau: float) -> int:
 
 def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float,
               monitor: bool = False, snapshot_steps=None, snapshots=None) -> RunReport:
-    """Run ``t_final / tau`` steps from ``u0``.
+    """Run ``t_final / tau`` steps from ``u0``; ``t_final = 0`` gives the
+    report of the initial state alone.
 
     ``snapshot_steps``/``snapshots``: optional container of step numbers
     and a mapping; after step ``n`` in the container, a copy of the state is
@@ -173,47 +200,62 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
     reference run and to fold the errors of a coarse run).  On divergence
     the report is truncated at the last finite step and flagged.
     """
-    n_steps = _step_count(t_final, tau)
+    n_steps = 0 if t_final == 0 else _step_count(t_final, tau)
     if snapshot_steps is not None and snapshots is None:
         raise ValueError("snapshot_steps given without a snapshots dict")
-    u = np.asarray(u0, dtype=float).copy()
-    u_hat = problem.op.forward(u)
     ws = _StepWorkspace(problem, tableau, tau, monitor)
-    energies = [problem.energy(u, u_hat)]
-    sup_norms = [float(np.max(np.abs(u)))]
-    margins = [] if monitor else None
-    diverged, diverged_step = False, None
+    s, m = tableau.stages, problem.op.m
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)))
+    u = np.empty((block * s + 1, m))
+    u_hat = np.empty_like(u)
+    u[0] = u0
+    u_hat[0] = problem.op.forward(u[0])
+    energies = [problem.energy(u[:1], u_hat[:1])]
+    sup_norms = [np.max(np.abs(u[:1]), axis=1)]
+    margins = []
+    diverged_step = None
     start = time.perf_counter()
     # overflow in a blowing-up nonlinearity is handled via the divergence
     # check, not floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            try:
-                stages, hats = ws.stages(u, u_hat, n)
-            except DivergenceError as err:
-                diverged, diverged_step = True, err.step_index
+        for n0 in range(0, n_steps, block):
+            k = min(block, n_steps - n0)
+            for r in range(0, k * s, s):
+                ws.advance(u, u_hat, r)
+            # the sup-norm of a row is finite only if the whole row is
+            sup = np.max(np.abs(u[1:k * s + 1]), axis=1)
+            bad = np.flatnonzero(~np.isfinite(sup))
+            if bad.size:
+                k = int(bad[0]) // s
+                diverged_step = n0 + k + 1
+            if k:
+                ends = slice(s, k * s + 1, s)
+                sup_norms.append(sup[s - 1:k * s:s])
+                if monitor:
+                    stage_energies = problem.energy(u[1:k * s + 1], u_hat[1:k * s + 1]).reshape(k, s)
+                    starts = np.concatenate((energies[-1][-1:], stage_energies[:-1, -1]))
+                    margins.append(ws.margins(u_hat[:k * s + 1], stage_energies - starts[:, None]))
+                    energies.append(stage_energies[:, -1])
+                else:
+                    energies.append(problem.energy(u[ends], u_hat[ends]))
+                if snapshot_steps is not None:
+                    for n, state in enumerate(u[ends], start=n0 + 1):
+                        if n in snapshot_steps:
+                            snapshots[n] = state.copy()
+                u[0], u_hat[0] = u[k * s], u_hat[k * s]
+            if diverged_step is not None:
                 break
-            u, u_hat = stages[-1], hats[-1]
-            if monitor:
-                stage_energies = problem.energy(stages[1:], hats[1:])
-                margins.append(ws.margins(hats, stage_energies - energies[-1]))
-                energies.append(stage_energies[-1])
-            else:
-                energies.append(problem.energy(u, u_hat))
-            sup_norms.append(float(np.max(np.abs(u))))
-            if snapshot_steps is not None and n in snapshot_steps:
-                snapshots[n] = u.copy()
     wall = time.perf_counter() - start
-    times = tau * np.arange(len(energies))
+    energies = np.concatenate(energies)
     return RunReport(
         method=tableau.label,
         tau=tau,
-        times=times,
-        energies=np.asarray(energies),
-        sup_norms=np.asarray(sup_norms),
-        final_state=u,
-        margins=np.asarray(margins) if monitor and margins else None,
-        diverged=diverged,
+        times=tau * np.arange(len(energies)),
+        energies=energies,
+        sup_norms=np.concatenate(sup_norms),
+        final_state=u[0].copy(),
+        margins=np.concatenate(margins) if margins else None,
+        diverged=diverged_step is not None,
         diverged_step=diverged_step,
         wall_time=wall,
     )

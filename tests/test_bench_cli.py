@@ -260,6 +260,19 @@ def test_cli_config_file_with_flag_override(capsys, tmp_path):
     assert len(energy_csv) == 4  # header + E(0), E(0.2), E(0.4)
 
 
+@pytest.mark.parametrize("monitor", [[], ["--monitor"]], ids=["plain", "monitor"])
+def test_cli_energy_zero_horizon(monitor, tmp_path):
+    assert main(["energy", "--method", "etd1", "--T", "0", *monitor, "--out", str(tmp_path)]) == 0
+    cfg = ExperimentConfig(ic="bumps")
+    problem = cfg.problem()
+    u0 = cfg.initial_state(problem)
+    energy = np.loadtxt(tmp_path / "etd1_energy.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert energy.tolist() == [[0.0, problem.energy(u0)]]
+    final = np.loadtxt(tmp_path / "etd1_final.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(final, np.column_stack([problem.op.x, u0]))
+    assert not (tmp_path / "etd1_margins.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["energy", "--method", "etd1", "--tau", "0.03", "--T", "1"],
     ["energy", "--method", "etd1", "--tau", "-0.1"],
@@ -280,11 +293,26 @@ def test_cli_config_file_with_flag_override(capsys, tmp_path):
     ["energy", "--method", "etd1", "--tau", "1e-300", "--T", "0.1"],
     ["energy", "--method", "etd1", "--tau", "1e-300", "--T", "1e300"],
     ["converge", "--method", "etd1", "--tau", "0.1", "--T", "0.1", "--ref-tau", "1e-300"],
+    ["analyze", "--method", "etd1", "--grid", "lin:-1:0:1000000000"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("lines", [
+    "length = -6.283185307179586\nm = 639\n",
+    "length = 0\nm = 639\n",
+    "length = nan\nm = 639\n",
+    "length = inf\nh = 0.01\n",
+], ids=["negative", "zero", "nan", "inf-with-spacing"])
+def test_cli_config_file_rejects_bad_length(lines, capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("method = etd1\nT = 1\n" + lines)
+    assert main(["energy", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

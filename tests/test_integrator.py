@@ -174,7 +174,13 @@ def test_single_step_run_and_bad_horizon():
     with pytest.raises(ValueError):
         integrate(p, get_method("etd1"), u0, 0.5, 0.8)
     with pytest.raises(ValueError):
-        integrate(p, get_method("etd1"), u0, 0.5, 0.0)
+        integrate(p, get_method("etd1"), u0, 0.5, -0.5)
+    # a zero horizon reports the initial state
+    rep = integrate(p, get_method("etd1"), u0, 0.5, 0.0, monitor=True)
+    assert rep.n_steps == 0 and rep.margins is None and not rep.diverged
+    assert rep.energies.tolist() == [p.energy(u0)]
+    assert rep.sup_norms.tolist() == [np.max(np.abs(u0))]
+    assert np.array_equal(rep.final_state, u0)
     with pytest.raises(ValueError):
         step(p, get_method("etd1"), u0, -0.1)
 
@@ -244,3 +250,99 @@ def test_monitoring_does_not_change_the_path(name, c2, tau):
     assert plain.margins is None and watched.margins.shape == (20, t.stages)
     assert np.array_equal(plain.final_state, watched.final_state)
     assert np.array_equal(plain.energies, watched.energies)
+
+
+def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
+    # the step loop before blocks: every stage is checked as it is formed,
+    # and each step records its energy, sup-norm and margins at once;
+    # returns the report fields and the failing (step, stage), if any
+    op = p.op
+    tau_mu = tau * p.spectral_shift(op.eigenvalues)
+    s = tableau.stages
+    a = np.zeros((s, s, op.m))
+    for i, row in enumerate(tableau.rows):
+        for j, entry in enumerate(row):
+            a[i, j] = evaluate(entry, -tau_mu)
+    b = 1.0 - tau_mu * a.sum(axis=1)
+    weight = op.h / op.eigenvalues if p.metric == "hminus1" else op.h
+    dmats = np.moveaxis(differentiation_matrix(tableau, -tau_mu), 0, -1) * weight
+    u, u_hat = u0.copy(), op.forward(u0)
+    energies, sup_norms, margins = [p.energy(u, u_hat)], [np.max(np.abs(u))], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            stages, hats, g_hats = [u], [u_hat], []
+            for i in range(s):
+                g_hats.append(p.g_stabilized(stages[-1]))
+                hats.append(b[i] * u_hat + sum(tau * a[i, j] * g_hats[j] for j in range(i + 1)))
+                stages.append(op.inverse(hats[-1]))
+                if not np.all(np.isfinite(stages[-1])):
+                    return energies, sup_norms, margins, u, (n, i + 1)
+            u, u_hat = stages[-1], hats[-1]
+            if monitor:
+                stage_energies = np.array([p.energy(v, v_hat) for v, v_hat in zip(stages[1:], hats[1:])])
+                dh = np.diff(hats, axis=0)
+                quad = [sum(np.sum(dmats[k, l] * dh[k] * dh[l]) for l in range(k + 1)) for k in range(s)]
+                margins.append(-np.cumsum(quad) / tau - (stage_energies - energies[-1]))
+            energies.append(p.energy(u, u_hat))
+            sup_norms.append(np.max(np.abs(u)))
+    return energies, sup_norms, margins, u, None
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+@pytest.mark.parametrize("name,params", [("etd1", {}), ("eerk31", {"c2": "4/9"})])
+def test_block_boundaries_do_not_change_the_path(name, params, monitor):
+    # horizons on both sides of one and two 16-step blocks
+    p = cahn_hilliard(m=639)
+    u0 = 0.5 * np.sin(p.op.x) - 0.2 * np.sin(3 * p.op.x)
+    t, tau = get_method(name, **params), 0.1
+    horizons = [1, 15, 16, 17, 33]
+    snapshots = {}
+    longest = integrate(p, t, u0, tau, 33 * tau, monitor=monitor,
+                        snapshot_steps=set(horizons), snapshots=snapshots)
+    for n in horizons:
+        rep = integrate(p, t, u0, tau, n * tau, monitor=monitor)
+        assert rep.n_steps == n and not rep.diverged
+        energies, sup_norms, margins, final_state, _ = _per_step_loop(p, t, u0, tau, n, monitor)
+        assert (rep.margins is None) == (not monitor)
+        for got, want in [(rep.energies, energies), (rep.sup_norms, sup_norms),
+                          (rep.final_state, final_state), (rep.margins, margins)]:
+            if got is not None:
+                want = np.asarray(want)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(rep.energies, longest.energies[:n + 1])
+        assert np.array_equal(rep.sup_norms, longest.sup_norms[:n + 1])
+        assert np.array_equal(rep.final_state, snapshots[n])
+        if monitor:
+            assert np.array_equal(rep.margins, longest.margins[:n])
+    assert np.array_equal(longest.final_state, snapshots[33])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+@pytest.mark.parametrize("c,amplitude,failing", [
+    (5000, 1e200, (11, 3)), (1000, 1e180, (17, 1)), (2000, 1e100, (24, 2))])
+def test_divergence_mid_block_matches_per_step_loop(c, amplitude, failing, monitor):
+    # a linear source c*u grows the state by about 1e10 a step until a
+    # stage overflows; the amplitude puts the overflow at the last stage of
+    # step 11, at the first stage of step 17 (which opens a block) and at
+    # the second stage of step 24.  Neighbouring steps differ by orders of
+    # magnitude, so a series or final state one step off fails at once
+    op = build_laplacian_1d(2 * np.pi, 16)
+    p = Problem(op, StabilizedSemilinear(kappa=0.1, g=lambda u: c * u,
+                                         potential=lambda u: 0.0 * u))
+    t = get_method("eerk31", c2="4/9")
+    u0 = amplitude * np.sin(op.x)
+    energies, sup_norms, margins, final_state, failed = _per_step_loop(p, t, u0, 1.0, 100, monitor)
+    assert failed == failing
+    rep = integrate(p, t, u0, 1.0, 100.0, monitor=monitor)
+    assert rep.diverged and rep.diverged_step == failing[0]
+    assert rep.n_steps == failing[0] - 1
+    # energies overflow before the state does; inf matches inf
+    np.testing.assert_allclose(rep.energies, energies, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(rep.sup_norms, sup_norms, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(rep.final_state, final_state, rtol=1e-11, atol=0)
+    if monitor:
+        np.testing.assert_allclose(rep.margins, margins, rtol=1e-11, atol=0)
+    else:
+        assert rep.margins is None
