@@ -26,7 +26,7 @@ from eerk.dissipation import (
     doc_kernels,
     leading_principal_minors,
 )
-from eerk.integrator import RunReport, StepRecord, integrate, step
+from eerk.integrator import RunReport, integrate
 from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, Var, evaluate, phi
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 from eerk.tableaux import (
@@ -65,9 +65,7 @@ __all__ = [
     "CahnHilliard",
     "StabilizedSemilinear",
     "Problem",
-    "step",
     "integrate",
-    "StepRecord",
     "RunReport",
 ]
 

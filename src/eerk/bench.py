@@ -279,6 +279,8 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
         raise ConfigError(f"mesh must have 2 to {_MAX_POINTS} interior points, got {cfg.m}")
     if not all(math.isfinite(tau) and tau > 0 for tau in cfg.taus):
         raise ConfigError(f"step sizes must be finite and positive, got {cfg.taus}")
+    if cfg.ref_tau is not None and not (math.isfinite(cfg.ref_tau) and cfg.ref_tau > 0):
+        raise ConfigError(f"reference step size must be finite and positive, got {cfg.ref_tau}")
     if not (math.isfinite(cfg.t_final) and cfg.t_final >= 0):
         raise ConfigError(f"final time must be finite and nonnegative, got {cfg.t_final}")
     if cfg.t_final > 0:
@@ -307,20 +309,6 @@ def _regroup_method_specs(chunks) -> list:
 # --------------------------------------------------------------------------
 
 
-class _MaxError:
-    """Write-only stand-in for a snapshot dict: folds the error
-    ``max |u_n - u_ref(t_n)|`` of each state stored under step ``n``."""
-
-    def __init__(self, reference: dict, stride: int):
-        self.reference = reference
-        self.stride = stride
-        self.value = 0.0
-
-    def __setitem__(self, n: int, u: np.ndarray) -> None:
-        error = float(np.max(np.abs(u - self.reference[n * self.stride])))
-        self.value = max(self.value, error)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     tau: float
@@ -329,13 +317,15 @@ class ConvergenceRow:
 
 
 def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
-    """Errors against a fine reference run over a halving tau schedule.
+    """Errors against a fine reference run over a schedule of step sizes.
 
-    The reference solution is computed once and sampled at every coarse
-    time level; the error ``max_n max_j |u^n_j - u*(t_n)_j|`` is folded as
-    the coarse run's states arrive, which are not kept.  Returns
-    the rows and writes ``<label>_convergence.csv`` when an output directory
-    is configured.
+    The reference run keeps its states at every ``g``-th step, ``g`` the
+    gcd of the coarse strides, which covers every coarse time level; the
+    error ``max_n max_j |u^n_j - u*(t_n)_j|`` of a coarse run is folded one
+    block of steps at a time, and its states are not kept.  The order
+    between consecutive step sizes is ``log(e_prev/e) / log(tau_prev/tau)``.
+    Returns the rows and writes ``<label>_convergence.csv`` when an output
+    directory is configured.
     """
     tableaux = cfg.tableaux() if method_spec is None else [parse_method(method_spec)]
     problem = cfg.problem()
@@ -344,41 +334,53 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
     _check_horizon(cfg.t_final, ref_tau)
 
     strides = []
-    for tau in cfg.taus:
+    for i, tau in enumerate(cfg.taus):
+        if i and tau == cfg.taus[i - 1]:
+            raise ConfigError(f"step size {tau} is repeated; an order needs two different steps")
         ratio = tau / ref_tau
         stride = round(ratio)
         if stride < 1 or abs(ratio - stride) > 1e-9 * max(1.0, ratio):
             raise ConfigError(f"tau {tau} is not an integer multiple of ref_tau {ref_tau}")
         strides.append(stride)
 
-    wanted = set()
-    for tau, stride in zip(cfg.taus, strides):
-        wanted.update(stride * n for n in range(1, round(cfg.t_final / tau) + 1))
-    snapshots = {}
-    ref_report = integrate(problem, ref_tableau, u0, ref_tau, cfg.t_final,
-                           snapshot_steps=wanted, snapshots=snapshots)
+    # row i holds the reference state after step (i+1)*g
+    g = math.gcd(*strides)
+    reference = np.empty((_step_count(cfg.t_final, ref_tau) // g, problem.op.m))
+
+    def keep(n0, stages):
+        j = g - 1 - n0 % g  # the first step of the block that is a multiple of g
+        ends = stages[j::g, -1]
+        first = (n0 + j + 1) // g - 1
+        reference[first:first + len(ends)] = ends
+
+    ref_report = integrate(problem, ref_tableau, u0, ref_tau, cfg.t_final, on_block=keep)
     if ref_report.diverged:
         raise BenchDivergence(
             f"reference run {ref_tableau.label} at tau={ref_tau} diverged "
             f"at step {ref_report.diverged_step}")
-    del ref_report
 
     results = {}
     for t in tableaux:
         rows = []
-        prev_error = None
         for tau, stride in zip(cfg.taus, strides):
-            n_steps = round(cfg.t_final / tau)
-            folded = _MaxError(snapshots, stride)
-            report = integrate(problem, t, u0, tau, cfg.t_final,
-                               snapshot_steps=range(1, n_steps + 1), snapshots=folded)
+            q = stride // g
+            error = 0.0
+
+            def fold(n0, stages):
+                nonlocal error
+                k = len(stages)
+                want = reference[(n0 + 1) * q - 1:(n0 + k) * q:q]
+                error = max(error, float(np.max(np.abs(stages[:, -1] - want))))
+
+            report = integrate(problem, t, u0, tau, cfg.t_final, on_block=fold)
             if report.diverged:
                 raise BenchDivergence(
                     f"{t.label} at tau={tau} diverged at step {report.diverged_step}")
-            error = folded.value
-            order = None if prev_error is None else math.log2(prev_error / error)
+            order = None
+            if rows:
+                prev = rows[-1]
+                order = math.log2(prev.error / error) / math.log2(prev.tau / tau)
             rows.append(ConvergenceRow(tau, error, order))
-            prev_error = error
         results[t.label] = rows
         if cfg.out is not None:
             write_csv(cfg.out / f"{_slug(t.label)}_convergence.csv",

@@ -21,9 +21,12 @@ step starting from the row where the previous one ended.  Only then is the
 block checked and recorded, with one call for each job: the sup-norms of all
 stage rows, whose first non-finite value names the diverged step (the report
 stops before it, and the later steps of the block are dropped); the energies
-of the step ends, or of every stage when monitoring; the margins; and the
-snapshot copies.  A buffer holds at most 2**16 values, so an s-stage
-method takes shorter blocks on meshes above ``4096/s`` points.
+of the step ends, or of every stage when monitoring; and the margins.  A
+caller that needs more than the report (the convergence driver samples the
+step ends) passes ``on_block``, which then receives the finite steps of the
+block as one ``(k, s, m)`` view of the stage buffer.  A buffer holds at most
+2**16 values, so an s-stage method takes shorter blocks on meshes above
+``4096/s`` points.
 
 When monitoring is on, each step also records the slack ("margin") of the
 stage energy inequality
@@ -58,31 +61,7 @@ from eerk.tableaux import Tableau
 _BLOCK_STEPS = 16
 _BLOCK_VALUES = 2**16
 
-__all__ = [
-    "DivergenceError",
-    "StepRecord",
-    "RunReport",
-    "step",
-    "integrate",
-]
-
-
-class DivergenceError(ArithmeticError):
-    """A stage produced non-finite values."""
-
-    def __init__(self, step_index: int):
-        super().__init__(f"non-finite state at step {step_index}")
-        self.step_index = step_index
-
-
-@dataclass
-class StepRecord:
-    """Stages, stage increments, energies and margins of one step."""
-
-    stages: np.ndarray  # (s+1, m): U^{n,1} .. U^{n,s+1}
-    deltas: np.ndarray  # (s, m): U^{n,i+1} - U^{n,i} for i = 1..s
-    energies: np.ndarray  # E[U^{n,j}] for j = 1..s+1
-    margins: Optional[np.ndarray] = None  # slack of the stage law, j = 1..s
+__all__ = ["RunReport", "integrate"]
 
 
 class _StepWorkspace:
@@ -139,28 +118,6 @@ class _StepWorkspace:
         return -np.cumsum(quad, axis=1) / self.tau - gaps
 
 
-def step(problem: Problem, tableau: Tableau, u_prev, tau: float,
-         monitor: bool = False) -> StepRecord:
-    """Advance one step from ``u_prev``; see the module docstring.
-
-    Builds the coefficient cache on the fly; for multi-step runs use
-    :func:`integrate`, which caches across steps.  Raises
-    :class:`DivergenceError` when a stage is not finite.
-    """
-    ws = _StepWorkspace(problem, tableau, tau, monitor)
-    stages = np.empty((tableau.stages + 1, problem.op.m))
-    hats = np.empty_like(stages)
-    stages[0] = u_prev
-    with np.errstate(over="ignore", invalid="ignore"):
-        hats[0] = problem.op.forward(stages[0])
-        ws.advance(stages, hats, 0)
-        if not np.all(np.isfinite(stages[1:])):
-            raise DivergenceError(0)
-        energies = problem.energy(stages, hats)
-        margins = ws.margins(hats, (energies[1:] - energies[0])[None])[0] if monitor else None
-    return StepRecord(stages, np.diff(stages, axis=0), energies, margins)
-
-
 @dataclass
 class RunReport:
     """Per-run series: energies, sup-norms, margins and the final state."""
@@ -190,19 +147,18 @@ def _step_count(t_final: float, tau: float) -> int:
 
 
 def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float,
-              monitor: bool = False, snapshot_steps=None, snapshots=None) -> RunReport:
+              monitor: bool = False, *, on_block=None) -> RunReport:
     """Run ``t_final / tau`` steps from ``u0``; ``t_final = 0`` gives the
-    report of the initial state alone.
+    report of the initial state alone.  On divergence the report is
+    truncated at the last finite step and flagged.
 
-    ``snapshot_steps``/``snapshots``: optional container of step numbers
-    and a mapping; after step ``n`` in the container, a copy of the state is
-    stored under key ``n`` (used by the convergence driver to sample a
-    reference run and to fold the errors of a coarse run).  On divergence
-    the report is truncated at the last finite step and flagged.
+    ``on_block(n0, stages)``, if given, is called after each checked block
+    of steps ``n0+1 .. n0+k`` with the ``(k, s, m)`` view ``stages`` of
+    their stages ``U^2 .. U^{s+1}``, so ``stages[j, -1]`` ends step
+    ``n0+j+1``.  The view is valid only during the call.  Diverged steps
+    are never handed over.
     """
     n_steps = 0 if t_final == 0 else _step_count(t_final, tau)
-    if snapshot_steps is not None and snapshots is None:
-        raise ValueError("snapshot_steps given without a snapshots dict")
     ws = _StepWorkspace(problem, tableau, tau, monitor)
     s, m = tableau.stages, problem.op.m
     block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)))
@@ -238,10 +194,8 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
                     energies.append(stage_energies[:, -1])
                 else:
                     energies.append(problem.energy(u[ends], u_hat[ends]))
-                if snapshot_steps is not None:
-                    for n, state in enumerate(u[ends], start=n0 + 1):
-                        if n in snapshot_steps:
-                            snapshots[n] = state.copy()
+                if on_block is not None:
+                    on_block(n0, u[1:k * s + 1].reshape(k, s, m))
                 u[0], u_hat[0] = u[k * s], u_hat[k * s]
             if diverged_step is not None:
                 break

@@ -1,5 +1,6 @@
 """Tests for the benchmark drivers and the CLI."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from eerk.bench import (
     write_csv,
 )
 from eerk.cli import main
+from eerk.integrator import integrate
 
 
 # --------------------------------------------------------------------------
@@ -74,6 +76,12 @@ def test_load_config_errors(tmp_path):
         ExperimentConfig(methods=["eerk2:c2=7"]).tableaux()
     with pytest.raises(ConfigError):
         ExperimentConfig().tableaux()
+
+
+@pytest.mark.parametrize("ref_tau", ["nan", "-1", "0", "inf"])
+def test_load_config_rejects_bad_ref_tau(ref_tau):
+    with pytest.raises(ConfigError, match="reference step size"):
+        load_config(None, {"ref_tau": ref_tau})
 
 
 def test_parse_z_grid():
@@ -151,6 +159,38 @@ def test_run_convergence_orders_and_csv(tmp_path):
 def test_run_convergence_single_tau_no_order():
     rows = run_convergence(small_cfg(taus=[0.05]))["eerk2w:c2=1/2"]
     assert len(rows) == 1 and rows[0].order is None
+
+
+def test_run_convergence_order_on_a_four_to_one_schedule():
+    # the order over tau -> tau/4 is the mean of the two halving orders, and
+    # the errors at the shared step sizes do not depend on the schedule
+    quarter = run_convergence(small_cfg(taus=[0.05, 0.0125]))["eerk2w:c2=1/2"]
+    halving = run_convergence(small_cfg(taus=[0.05, 0.025, 0.0125]))["eerk2w:c2=1/2"]
+    assert [r.error for r in quarter] == [halving[0].error, halving[2].error]
+    assert quarter[1].order == math.log2(quarter[0].error / quarter[1].error) / 2
+    assert quarter[1].order == pytest.approx((halving[1].order + halving[2].order) / 2, rel=1e-12)
+    assert quarter[1].order == pytest.approx(2.0, abs=0.5)
+
+
+def test_convergence_error_matches_final_state_oracle():
+    # uneven strides 3 and 2 against ref_tau 0.01, so the reference keeps
+    # every one of its states; 20 and 30 coarse steps take two blocks each.
+    # Each coarse error is recomputed from the final states of runs that
+    # stop at each coarse time level
+    cfg = small_cfg(taus=[0.03, 0.02], t_final=0.6, ref_tau=0.01)
+    rows = run_convergence(cfg)["eerk2w:c2=1/2"]
+    problem = cfg.problem()
+    u0 = cfg.initial_state(problem)
+    ref, ref_tau = cfg.resolve_reference()
+    method = cfg.tableaux()[0]
+    for row, tau, n_steps in zip(rows, cfg.taus, (20, 30)):
+        errors = []
+        for n in range(1, n_steps + 1):
+            coarse = integrate(problem, method, u0, tau, n * tau).final_state
+            fine = integrate(problem, ref, u0, ref_tau, n * tau).final_state
+            errors.append(np.max(np.abs(coarse - fine)))
+        assert row.tau == tau and row.error == max(errors)
+    assert rows[1].order == math.log2(rows[0].error / rows[1].error) / math.log2(0.03 / 0.02)
 
 
 def test_run_convergence_rejects_misaligned_reference():
@@ -294,6 +334,10 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     ["energy", "--method", "etd1", "--tau", "1e-300", "--T", "1e300"],
     ["converge", "--method", "etd1", "--tau", "0.1", "--T", "0.1", "--ref-tau", "1e-300"],
     ["analyze", "--method", "etd1", "--grid", "lin:-1:0:1000000000"],
+    ["converge", "--method", "etd1", "--ref-tau", "nan"],
+    ["converge", "--method", "etd1", "--ref-tau", "-1"],
+    ["converge", "--method", "etd1", "--ref-tau", "inf"],
+    ["converge", "--method", "etd1", "--tau", "0.01,0.01", "--T", "0.02"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2

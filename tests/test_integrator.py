@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eerk.dissipation import differentiation_matrix
-from eerk.integrator import integrate, step
+from eerk.integrator import integrate
 from eerk.phi import evaluate, phi
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
 from eerk.tableaux import get_method
@@ -21,6 +21,32 @@ def cahn_hilliard(m=48, eps=0.2, kappa=2.0):
     return Problem(op, CahnHilliard(eps=eps, kappa=kappa))
 
 
+class Blocks(list):
+    """An ``on_block`` hook that keeps a copy of every block handed to it."""
+
+    def __call__(self, n0, stages):
+        self.append((n0, stages.copy()))
+
+    def steps(self):
+        """The stages of every step handed over, shape ``(n, s, m)``, after
+        checking that the blocks hand over steps 1..n once each, in order."""
+        n = 0
+        for n0, stages in self:
+            assert n0 == n and len(stages) > 0
+            n += len(stages)
+        return np.concatenate([stages for _, stages in self])
+
+
+def one_step(p, tableau, u, tau, monitor=False):
+    """The stages ``U^1 .. U^{s+1}``, shape ``(s+1, m)``, of one step from
+    ``u``, as handed over by ``on_block``, and the report of the run."""
+    blocks = Blocks()
+    rep = integrate(p, tableau, u, tau, tau, monitor=monitor, on_block=blocks)
+    steps = blocks.steps()
+    assert steps.shape == (1, tableau.stages, p.op.m)
+    return np.vstack([u, steps[0]]), rep
+
+
 def test_etd1_step_matches_exponential_euler_form():
     # u_next = phi_0(-tau L) u + tau phi_1(-tau L) g(u), assembled through
     # spectral operations only, independent of the stage-loop code path.
@@ -29,10 +55,10 @@ def test_etd1_step_matches_exponential_euler_form():
     u = rng.standard_normal(24)
     tau = 0.2
     mu = p.spectral_shift(p.op.eigenvalues)
-    rec = step(p, get_method("etd1"), u, tau)
+    stages, _ = one_step(p, get_method("etd1"), u, tau)
     direct = (p.op.apply(lambda lam: phi(0, -tau * (lam + 1.5)), u)
               + tau * p.op.apply(lambda lam: phi(1, -tau * (lam + 1.5)), np.tanh(u) + 1.5 * u))
-    assert np.max(np.abs(rec.stages[-1] - direct)) < 1e-11 * max(1.0, np.max(np.abs(direct)))
+    assert np.max(np.abs(stages[-1] - direct)) < 1e-11 * max(1.0, np.max(np.abs(direct)))
 
 
 def test_etd2rk_step_matches_two_line_scheme():
@@ -44,12 +70,12 @@ def test_etd2rk_step_matches_two_line_scheme():
     gk = lambda u: u - u**3 + kappa * u
     u = 0.5 * rng.standard_normal(24)
     tau = 0.3
-    rec = step(p, get_method("eerk2", c2=1), u, tau)
+    stages, _ = one_step(p, get_method("eerk2", c2=1), u, tau)
     ap = lambda k, v: p.op.apply(lambda lam: phi(k, -tau * (lam + kappa)), v)
     u2 = ap(0, u) + tau * ap(1, gk(u))
     u3 = u2 + tau * ap(2, gk(u2) - gk(u))
-    assert np.max(np.abs(rec.stages[1] - u2)) < 1e-12 * max(1.0, np.max(np.abs(u2)))
-    assert np.max(np.abs(rec.stages[2] - u3)) < 1e-11 * max(1.0, np.max(np.abs(u3)))
+    assert np.max(np.abs(stages[1] - u2)) < 1e-12 * max(1.0, np.max(np.abs(u2)))
+    assert np.max(np.abs(stages[2] - u3)) < 1e-11 * max(1.0, np.max(np.abs(u3)))
 
 
 @pytest.mark.parametrize("name,params", [
@@ -91,32 +117,21 @@ def test_equilibria_preservation(name, params):
 def test_zero_step_margins_vanish():
     p = cahn_hilliard(m=24)
     u_star = np.zeros(24)  # g_kappa(0) = 0 and stages stay put
-    rec = step(p, get_method("eerk31", c2="4/9"), u_star, 0.1, monitor=True)
-    assert np.max(np.abs(np.concatenate(rec.deltas))) == 0.0
-    assert rec.margins == pytest.approx(np.zeros(3), abs=1e-15)
+    stages, rep = one_step(p, get_method("eerk31", c2="4/9"), u_star, 0.1, monitor=True)
+    assert np.max(np.abs(np.diff(stages, axis=0))) == 0.0
+    assert rep.margins[0] == pytest.approx(np.zeros(3), abs=1e-15)
 
 
-def test_step_record_chaining_and_deltas():
-    rng = np.random.default_rng(25)
-    p = cahn_hilliard(m=32)
-    u = 0.3 * np.sin(p.op.x)
-    rec = step(p, get_method("eerk2", c2=1), u, 0.05)
-    assert rec.stages[0] is not rec.stages[-1]
-    for i, d in enumerate(rec.deltas):
-        assert d == pytest.approx(rec.stages[i + 1] - rec.stages[i])
-    assert len(rec.energies) == 3
-
-
-def _margin_loop(p, tableau, rec, tau):
+def _margin_loop(p, tableau, stages, tau):
     # the margin quadratic form as first written: one multiply-add per (k, l)
-    # on the record's physical increments, with energies from the stencil
+    # on the physical stage increments, with energies from the stencil
     op = p.op
     dmats = np.moveaxis(differentiation_matrix(tableau, -tau * p.spectral_shift(op.eigenvalues)), 0, -1)
-    delta_hats = [op.forward(d) for d in rec.deltas]
+    delta_hats = [op.forward(d) for d in np.diff(stages, axis=0)]
     weight = op.h / op.eigenvalues if p.metric == "hminus1" else op.h
     eps2 = p.kind.eps**2
     energies = [0.5 * eps2 * op.inner(v, op.apply_stencil(v)) + op.h * np.sum(0.25 * (v**2 - 1.0) ** 2)
-                for v in rec.stages]
+                for v in stages]
     margins = np.empty(len(delta_hats))
     quad = 0.0
     for k in range(len(delta_hats)):
@@ -133,10 +148,10 @@ def test_monitor_margins_match_standalone_recomputation():
     u = 0.4 * np.sin(p.op.x) - 0.1 * np.sin(2 * p.op.x)
     for name, params in [("eerk2w", {"c2": "1/2"}), ("eerk31", {"c2": "4/9"}), ("ho4", {})]:
         t = get_method(name, **params)
-        rec = step(p, t, u, 0.1, monitor=True)
-        want = _margin_loop(p, t, rec, 0.1)
-        assert rec.margins.shape == (t.stages,)
-        assert np.max(np.abs(rec.margins - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        stages, rep = one_step(p, t, u, 0.1, monitor=True)
+        want = _margin_loop(p, t, stages, 0.1)
+        assert rep.margins.shape == (1, t.stages)
+        assert np.max(np.abs(rep.margins[0] - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_etd1_margin_against_direct_quadratic_form():
@@ -146,14 +161,14 @@ def test_etd1_margin_against_direct_quadratic_form():
     u = 0.5 * np.sin(p.op.x)
     tau = 0.2
     t = get_method("etd1")
-    rec = step(p, t, u, tau, monitor=True)
-    du = rec.deltas[0]
+    stages, rep = one_step(p, t, u, tau, monitor=True)
+    du = stages[1] - stages[0]
     mu = p.spectral_shift(p.op.eigenvalues)
     z = -tau * mu
     d11 = z / 2 + 1.0 / phi(1, z)
     quad = p.op.inner(du, p.op.apply_values(d11, du), metric="hminus1")
-    expected = -quad / tau - (rec.energies[1] - rec.energies[0])
-    assert rec.margins[0] == pytest.approx(expected, rel=1e-10, abs=1e-13)
+    expected = -quad / tau - (rep.energies[1] - rep.energies[0])
+    assert rep.margins[0, 0] == pytest.approx(expected, rel=1e-10, abs=1e-13)
 
 
 def test_energy_monotone_on_small_cahn_hilliard():
@@ -182,7 +197,7 @@ def test_single_step_run_and_bad_horizon():
     assert rep.sup_norms.tolist() == [np.max(np.abs(u0))]
     assert np.array_equal(rep.final_state, u0)
     with pytest.raises(ValueError):
-        step(p, get_method("etd1"), u0, -0.1)
+        integrate(p, get_method("etd1"), u0, -0.1, 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -197,16 +212,20 @@ def test_divergence_is_reported_not_raised():
     assert rep.n_steps < 10
 
 
-def test_snapshots_collect_requested_steps():
+def test_on_block_hands_over_each_step_once():
+    # 35 two-stage steps on 24 points run in blocks of 16, 16 and 3 steps
     p = cahn_hilliard(m=24)
     u0 = 0.3 * np.sin(p.op.x)
-    store = {}
-    rep = integrate(p, get_method("eerk2", c2=1), u0, 0.1, 1.0,
-                    snapshot_steps={2, 5, 10}, snapshots=store)
-    assert set(store) == {2, 5, 10}
-    assert store[10] == pytest.approx(rep.final_state)
-    with pytest.raises(ValueError):
-        integrate(p, get_method("etd1"), u0, 0.1, 1.0, snapshot_steps={1})
+    t = get_method("eerk2", c2=1)
+    blocks = Blocks()
+    rep = integrate(p, t, u0, 0.1, 3.5, on_block=blocks)
+    assert [(n0, stages.shape) for n0, stages in blocks] == [
+        (0, (16, 2, 24)), (16, (16, 2, 24)), (32, (3, 2, 24))]
+    steps = blocks.steps()
+    assert np.array_equal(steps[-1, -1], rep.final_state)
+    assert np.array_equal(np.max(np.abs(steps), axis=2)[:, -1], rep.sup_norms[1:])
+    for n in (2, 5, 10, 16, 17):
+        assert np.array_equal(steps[n - 1, -1], integrate(p, t, u0, 0.1, 0.1 * n).final_state)
 
 
 def _physical_stage_loop(p, tableau, u0, tau, n_steps):
@@ -255,7 +274,8 @@ def test_monitoring_does_not_change_the_path(name, c2, tau):
 def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
     # the step loop before blocks: every stage is checked as it is formed,
     # and each step records its energy, sup-norm and margins at once;
-    # returns the report fields and the failing (step, stage), if any
+    # returns the report fields, the stages U^2..U^{s+1} of each finite
+    # step and the failing (step, stage), if any
     op = p.op
     tau_mu = tau * p.spectral_shift(op.eigenvalues)
     s = tableau.stages
@@ -268,6 +288,7 @@ def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
     dmats = np.moveaxis(differentiation_matrix(tableau, -tau_mu), 0, -1) * weight
     u, u_hat = u0.copy(), op.forward(u0)
     energies, sup_norms, margins = [p.energy(u, u_hat)], [np.max(np.abs(u))], []
+    steps = []
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             stages, hats, g_hats = [u], [u_hat], []
@@ -276,8 +297,9 @@ def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
                 hats.append(b[i] * u_hat + sum(tau * a[i, j] * g_hats[j] for j in range(i + 1)))
                 stages.append(op.inverse(hats[-1]))
                 if not np.all(np.isfinite(stages[-1])):
-                    return energies, sup_norms, margins, u, (n, i + 1)
+                    return energies, sup_norms, margins, u, steps, (n, i + 1)
             u, u_hat = stages[-1], hats[-1]
+            steps.append(stages[1:])
             if monitor:
                 stage_energies = np.array([p.energy(v, v_hat) for v, v_hat in zip(stages[1:], hats[1:])])
                 dh = np.diff(hats, axis=0)
@@ -285,7 +307,7 @@ def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
                 margins.append(-np.cumsum(quad) / tau - (stage_energies - energies[-1]))
             energies.append(p.energy(u, u_hat))
             sup_norms.append(np.max(np.abs(u)))
-    return energies, sup_norms, margins, u, None
+    return energies, sup_norms, margins, u, steps, None
 
 
 @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
@@ -296,13 +318,16 @@ def test_block_boundaries_do_not_change_the_path(name, params, monitor):
     u0 = 0.5 * np.sin(p.op.x) - 0.2 * np.sin(3 * p.op.x)
     t, tau = get_method(name, **params), 0.1
     horizons = [1, 15, 16, 17, 33]
-    snapshots = {}
-    longest = integrate(p, t, u0, tau, 33 * tau, monitor=monitor,
-                        snapshot_steps=set(horizons), snapshots=snapshots)
+    blocks = Blocks()
+    longest = integrate(p, t, u0, tau, 33 * tau, monitor=monitor, on_block=blocks)
+    steps = blocks.steps()
     for n in horizons:
         rep = integrate(p, t, u0, tau, n * tau, monitor=monitor)
         assert rep.n_steps == n and not rep.diverged
-        energies, sup_norms, margins, final_state, _ = _per_step_loop(p, t, u0, tau, n, monitor)
+        energies, sup_norms, margins, final_state, want_steps, _ = _per_step_loop(
+            p, t, u0, tau, n, monitor)
+        want_steps = np.array(want_steps)
+        assert np.max(np.abs(steps[:n] - want_steps)) <= 1e-12 * np.max(np.abs(want_steps))
         assert (rep.margins is None) == (not monitor)
         for got, want in [(rep.energies, energies), (rep.sup_norms, sup_norms),
                           (rep.final_state, final_state), (rep.margins, margins)]:
@@ -312,10 +337,10 @@ def test_block_boundaries_do_not_change_the_path(name, params, monitor):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(rep.energies, longest.energies[:n + 1])
         assert np.array_equal(rep.sup_norms, longest.sup_norms[:n + 1])
-        assert np.array_equal(rep.final_state, snapshots[n])
+        assert np.array_equal(rep.final_state, steps[n - 1, -1])
         if monitor:
             assert np.array_equal(rep.margins, longest.margins[:n])
-    assert np.array_equal(longest.final_state, snapshots[33])
+    assert len(steps) == 33
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -333,11 +358,15 @@ def test_divergence_mid_block_matches_per_step_loop(c, amplitude, failing, monit
                                          potential=lambda u: 0.0 * u))
     t = get_method("eerk31", c2="4/9")
     u0 = amplitude * np.sin(op.x)
-    energies, sup_norms, margins, final_state, failed = _per_step_loop(p, t, u0, 1.0, 100, monitor)
+    energies, sup_norms, margins, final_state, steps, failed = _per_step_loop(
+        p, t, u0, 1.0, 100, monitor)
     assert failed == failing
-    rep = integrate(p, t, u0, 1.0, 100.0, monitor=monitor)
+    blocks = Blocks()
+    rep = integrate(p, t, u0, 1.0, 100.0, monitor=monitor, on_block=blocks)
     assert rep.diverged and rep.diverged_step == failing[0]
     assert rep.n_steps == failing[0] - 1
+    # only the finite steps are handed over, each once
+    np.testing.assert_allclose(blocks.steps(), steps, rtol=1e-11, atol=0)
     # energies overflow before the state does; inf matches inf
     np.testing.assert_allclose(rep.energies, energies, rtol=1e-11, atol=0)
     np.testing.assert_allclose(rep.sup_norms, sup_norms, rtol=1e-11, atol=0)
