@@ -28,7 +28,7 @@ from eerk.dissipation import (
 )
 from eerk.integrator import RunReport, integrate
 from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, Var, evaluate, phi
-from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
+from eerk.spatial import CahnHilliard, Problem, SpectralOperator, StabilizedSemilinear
 from eerk.tableaux import (
     Tableau,
     butcher_diff,
@@ -61,7 +61,7 @@ __all__ = [
     "classify_method",
     "default_z_grid",
     "Classification",
-    "build_laplacian_1d",
+    "SpectralOperator",
     "CahnHilliard",
     "StabilizedSemilinear",
     "Problem",

@@ -29,7 +29,7 @@ from eerk.dissipation import (
     scan_method,
 )
 from eerk.integrator import _step_count, integrate
-from eerk.spatial import CahnHilliard, Problem, build_laplacian_1d
+from eerk.spatial import CahnHilliard, Problem, SpectralOperator
 from eerk.tableaux import MethodError, parse_method
 
 __all__ = [
@@ -65,13 +65,27 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write rows of numbers/strings as CSV with 17 significant digits."""
+    """Write rows of numbers/strings as CSV with 17 significant digits into
+    an existing directory; a failed write is a ``ConfigError``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def _make_out_dir(cfg) -> None:
+    """Create the configured output directory, so that an unusable one
+    ends a run before its first step rather than after its last."""
+    if cfg.out is None:
+        return
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out}: {exc}") from exc
 
 
 def _slug(label: str) -> str:
@@ -156,7 +170,7 @@ class ExperimentConfig:
         # whether eps and kappa are admissible depends on the spectrum
         try:
             return Problem(
-                build_laplacian_1d(self.length, self.m),
+                SpectralOperator(self.length, self.m),
                 CahnHilliard(eps=self.eps, kappa=self.kappa),
                 metric_override=self.metric,
             )
@@ -332,6 +346,7 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
     u0 = cfg.initial_state(problem)
     ref_tableau, ref_tau = cfg.resolve_reference()
     _check_horizon(cfg.t_final, ref_tau)
+    _make_out_dir(cfg)
 
     strides = []
     for i, tau in enumerate(cfg.taus):
@@ -396,6 +411,7 @@ def run_energy(cfg: ExperimentConfig):
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     tau = cfg.taus[0]
+    _make_out_dir(cfg)
     reports = {}
     for t in tableaux:
         report = integrate(problem, t, u0, tau, cfg.t_final, monitor=cfg.monitor)
@@ -419,6 +435,7 @@ def run_analysis(cfg: ExperimentConfig):
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
     variant = "implicit" if cfg.implicit else "standard"
+    _make_out_dir(cfg)
     results = {}
     summary_rows = []
     for t in tableaux:
@@ -446,6 +463,7 @@ def run_rate(cfg: ExperimentConfig):
     pure-implicit variant alongside)."""
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
+    _make_out_dir(cfg)
     curves = {}
     for t in tableaux:
         rate = average_dissipation_rate(t, grid)

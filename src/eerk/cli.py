@@ -171,7 +171,8 @@ def _cmd_energy(args) -> int:
         line = (f"{label:28s} E(0) = {report.energies[0]:.6g}  "
                 f"E({report.times[-1]:.6g}) = {report.energies[-1]:.6g}")
         if report.margins is not None:
-            line += f"  min margin = {float(report.margins.min()):.3e}"
+            line += (f"  min margin = {float(report.margins.min()):.3e}"
+                     f"  stage law {report.energy_law}")
         print(line)
     return _EXIT_DIVERGENCE if diverged else 0
 

@@ -12,8 +12,10 @@ evaluated once per eigenvalue and cached for the run as one ``(s, s+1, m)``
 array, so each stage is one contraction of its row with the terms
 ``[U^1, g(U^1) .. g(U^s)]`` in sine coefficients.  The state is carried in
 sine coefficients from step to step: each stage transforms only its
-nonlinearity forward and its result back, so a step costs ``2s`` sine
-transforms.
+physical-space nonlinearity forward and its result back, so a step costs
+``2s`` sine transforms.  Each is ``op.forward`` done bit for bit in
+preallocated per-run buffers from ``op.odd_buffer`` and
+``op.spectrum_buffer``, through ``op.transform_odd``.
 
 The loop runs in blocks of up to 16 steps.  The steps of a block write their
 stages into one ``(16s+1, m)`` buffer and its sine-coefficient twin, each
@@ -60,35 +62,50 @@ from eerk.tableaux import Tableau
 # large mesh does not pay for the batching in memory
 _BLOCK_STEPS = 16
 _BLOCK_VALUES = 2**16
+# a margin is a difference of terms of size |E|; this many units of
+# roundoff of those terms is its floor
+_FLOOR_ULPS = 4
 
 __all__ = ["RunReport", "integrate"]
 
 
 class _StepWorkspace:
-    """Folded spectral coefficient cache for a fixed (problem, tableau, tau)."""
+    """Folded spectral coefficient cache for a fixed (problem, tableau, tau),
+    and the stage buffers of one run with ``rows`` stage rows."""
 
-    def __init__(self, problem: Problem, tableau: Tableau, tau: float, monitor: bool):
+    def __init__(self, problem: Problem, tableau: Tableau, tau: float, monitor: bool, rows: int):
         if tau <= 0:
             raise ValueError(f"step size must be positive, got {tau}")
         self.problem = problem
         self.tau = float(tau)
         op = problem.op
+        m = op.m
         tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
         s = tableau.stages
         # a_{i+1,j}(z) per eigenvalue, zero above the diagonal
-        a = np.zeros((s, s, op.m))
+        a = np.zeros((s, s, m))
         for i, row in enumerate(tableau.rows):
             for j, entry in enumerate(row):
                 a[i, j] = evaluate(entry, -tau_mu)
-        # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s]:
-        # column 0 holds b_i, column j the folded tau a_{i+1,j}
-        coeff = np.empty((s, s + 1, op.m))
+        # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s],
+        # g_j = factor * DST(N(U^j)) with N the physical-space nonlinearity:
+        # column 0 holds b_i, column j the folded tau a_{i+1,j} * factor
+        coeff = np.empty((s, s + 1, m))
         coeff[:, 0] = 1.0 - tau_mu * a.sum(axis=1)
-        coeff[:, 1:] = self.tau * a
-        terms = np.empty((s + 1, op.m))
+        coeff[:, 1:] = self.tau * a * problem.nonlinearity_factor
+        # both transforms of a stage are op.forward done in run buffers: the
+        # stage buffers hold the physical rows and the odd extensions of
+        # their sine coefficients, and the nonlinearity of a stage is written
+        # into one more odd extension
+        self.u = np.empty((rows, m))
+        self.u_odd, self.u_hat, self.u_tail = op.odd_buffer((rows,))
+        self.n_odd, self.n_phys, self.n_tail = op.odd_buffer()
+        # spectrum row j >= 1 holds the transform of N(U^j), and the
+        # coefficient view of row 0 holds U_hat^1, so the terms are one view
+        spectra, self.terms = op.spectrum_buffer((s + 1,))
         # stage i+1 reads only the terms already formed
-        self.rows = [(coeff[i, :i + 2], terms[:i + 2]) for i in range(s)]
-        self.terms = terms
+        self.rows = [(coeff[i, :i + 2], self.terms[:i + 2], spectra[i + 1]) for i in range(s)]
+        self.back, self.back_coeffs = op.spectrum_buffer()
         self.dmats = None
         if monitor:
             # d_{kl}(z), zero above the diagonal, times the metric weight
@@ -96,26 +113,38 @@ class _StepWorkspace:
             weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
             self.dmats = np.ascontiguousarray(np.moveaxis(d, 0, -1) * weight)
 
-    def advance(self, u: np.ndarray, u_hat: np.ndarray, r: int) -> None:
-        """Fill rows ``r+1..r+s`` of the stage buffer ``u`` and of its sine
-        coefficients ``u_hat`` with the stages of the step from row ``r``.
-        No row is checked for divergence; the caller does that and guards
-        against overflow warnings."""
-        problem, inverse = self.problem, self.problem.op.inverse
+    def advance(self, r: int) -> None:
+        """Fill rows ``r+1..r+s`` of the stage buffers ``u`` and ``u_hat``
+        with the stages of the step from row ``r``.  No row is checked for
+        divergence; the caller does that and guards against overflow
+        warnings."""
+        u, u_hat, u_odd, u_tail = self.u, self.u_hat, self.u_odd, self.u_tail
+        n_odd, n_phys, n_tail = self.n_odd, self.n_phys, self.n_tail
+        nonlinearity, transform = self.problem.nonlinearity, self.problem.op.transform_odd
+        back, back_coeffs = self.back, self.back_coeffs
         self.terms[0] = u_hat[r]
-        for i, (row, terms) in enumerate(self.rows, start=r):
-            terms[-1] = problem.g_stabilized(u[i])
+        for i, (row, terms, spectrum) in enumerate(self.rows, start=r):
+            nonlinearity(u[i], out=n_phys)
+            np.negative(n_phys, out=n_tail)
+            transform(n_odd, spectrum)
             np.einsum("jm,jm->m", row, terms, out=u_hat[i + 1])
-            u[i + 1] = inverse(u_hat[i + 1])
+            np.negative(u_hat[i + 1], out=u_tail[i + 1])
+            transform(u_odd[i + 1], back)
+            np.copyto(u[i + 1], back_coeffs)
 
-    def margins(self, u_hat: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    def margins(self, u_hat: np.ndarray, energies: np.ndarray, start: np.ndarray) -> tuple:
         """Margins, shape ``(k, s)``, of ``k`` consecutive steps from their
-        ``k*s + 1`` stage coefficient rows and their energy gaps
-        ``E[U^{j+1}] - E[U^1]``, shape ``(k, s)``."""
-        k, s = gaps.shape
+        ``k*s + 1`` stage coefficient rows, their stage energies
+        ``E[U^{j+1}]``, shape ``(k, s)``, and their start energies
+        ``E[U^1]``, shape ``(k,)``; and the rounding floor of each margin,
+        a few ulps of the terms it subtracts."""
+        k, s = energies.shape
         delta_hats = np.diff(u_hat, axis=0).reshape(k, s, -1)
         quad = np.einsum("klm,nkm,nlm->nk", self.dmats, delta_hats, delta_hats)
-        return -np.cumsum(quad, axis=1) / self.tau - gaps
+        drop = np.cumsum(quad, axis=1) / self.tau
+        start = start[:, None]
+        floors = _FLOOR_ULPS * np.finfo(float).eps * (np.abs(energies) + np.abs(start) + np.abs(drop))
+        return -drop - (energies - start), floors
 
 
 @dataclass
@@ -129,6 +158,7 @@ class RunReport:
     sup_norms: np.ndarray
     final_state: np.ndarray
     margins: Optional[np.ndarray]  # (n_steps, s) when monitored
+    margin_floors: Optional[np.ndarray]  # rounding floor of each margin
     diverged: bool
     diverged_step: Optional[int]
     wall_time: float
@@ -136,6 +166,19 @@ class RunReport:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def energy_law(self) -> Optional[str]:
+        """``held`` when every margin is nonnegative, ``held within
+        rounding`` when no margin lies below minus its rounding floor, and
+        ``violated`` otherwise; None without margins."""
+        if self.margins is None:
+            return None
+        if np.all(self.margins >= 0):
+            return "held"
+        if np.all(self.margins >= -self.margin_floors):
+            return "held within rounding"
+        return "violated"
 
 
 def _step_count(t_final: float, tau: float) -> int:
@@ -159,16 +202,15 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
     are never handed over.
     """
     n_steps = 0 if t_final == 0 else _step_count(t_final, tau)
-    ws = _StepWorkspace(problem, tableau, tau, monitor)
     s, m = tableau.stages, problem.op.m
     block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)))
-    u = np.empty((block * s + 1, m))
-    u_hat = np.empty_like(u)
+    ws = _StepWorkspace(problem, tableau, tau, monitor, block * s + 1)
+    u, u_hat = ws.u, ws.u_hat
     u[0] = u0
     u_hat[0] = problem.op.forward(u[0])
     energies = [problem.energy(u[:1], u_hat[:1])]
     sup_norms = [np.max(np.abs(u[:1]), axis=1)]
-    margins = []
+    margins, floors = [], []
     diverged_step = None
     start = time.perf_counter()
     # overflow in a blowing-up nonlinearity is handled via the divergence
@@ -177,7 +219,7 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
         for n0 in range(0, n_steps, block):
             k = min(block, n_steps - n0)
             for r in range(0, k * s, s):
-                ws.advance(u, u_hat, r)
+                ws.advance(r)
             # the sup-norm of a row is finite only if the whole row is
             sup = np.max(np.abs(u[1:k * s + 1]), axis=1)
             bad = np.flatnonzero(~np.isfinite(sup))
@@ -190,7 +232,9 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
                 if monitor:
                     stage_energies = problem.energy(u[1:k * s + 1], u_hat[1:k * s + 1]).reshape(k, s)
                     starts = np.concatenate((energies[-1][-1:], stage_energies[:-1, -1]))
-                    margins.append(ws.margins(u_hat[:k * s + 1], stage_energies - starts[:, None]))
+                    block_margins, block_floors = ws.margins(u_hat[:k * s + 1], stage_energies, starts)
+                    margins.append(block_margins)
+                    floors.append(block_floors)
                     energies.append(stage_energies[:, -1])
                 else:
                     energies.append(problem.energy(u[ends], u_hat[ends]))
@@ -209,6 +253,7 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
         sup_norms=np.concatenate(sup_norms),
         final_state=u[0].copy(),
         margins=np.concatenate(margins) if margins else None,
+        margin_floors=np.concatenate(floors) if floors else None,
         diverged=diverged_step is not None,
         diverged_step=diverged_step,
         wall_time=wall,

@@ -1,12 +1,11 @@
-"""Discrete 1-D Dirichlet Laplacian, spectral function application and the
-Cahn-Hilliard problem setup.
+"""Discrete 1-D Dirichlet Laplacian and the Cahn-Hilliard problem setup.
 
 The operator is the tridiagonal stencil ``(-1, 2, -1)/h^2`` on ``m`` interior
 points of an interval with homogeneous Dirichlet ends; its eigenvectors are
-the orthonormal sine modes, so applying any scalar function of the operator
-reduces to a sine transform, an eigenvalue-wise multiply, and a transform
-back.  Inner products carry the quadrature weight ``h`` so that discrete
-energies approximate integrals.
+the orthonormal sine modes, so any scalar function of the operator is a sine
+transform, an eigenvalue-wise multiply, and a transform back.  The transform
+is the orthonormal DST-I, computed from a real FFT of the odd extension with
+numpy alone.
 
 ``Problem`` bundles the operator with a problem kind:
 
@@ -17,9 +16,10 @@ energies approximate integrals.
 * ``StabilizedSemilinear(kappa, g)``: the stiff operator is ``L + kappa I``
   with nonlinearity ``g(u) + kappa u`` in the plain L^2 setting.
 
-``Problem.g_stabilized`` returns the nonlinearity in sine coefficients, the
-form the stage loop works in, and ``Problem.energy`` takes the stiff part of
-an energy from the same coefficients.
+The stabilized nonlinearity has the sine coefficients
+``nonlinearity_factor * op.forward(nonlinearity(u))``: ``nonlinearity`` is
+its physical-space part, the form the stage loop transforms, and
+``Problem.energy`` takes the stiff part of an energy from sine coefficients.
 """
 
 from __future__ import annotations
@@ -28,11 +28,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.fftpack
+
+# the kernel behind np.fft.rfft for even lengths (numpy >= 2.0), without the
+# argument handling that costs a third of a 1280-point transform; it
+# multiplies its output, which must be given, by its second argument
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_scaled
 
 __all__ = [
     "SpectralOperator",
-    "build_laplacian_1d",
     "CahnHilliard",
     "StabilizedSemilinear",
     "Problem",
@@ -43,8 +46,16 @@ class SpectralOperator:
     """Eigen-decomposition of the Dirichlet Laplacian on ``m`` interior points.
 
     The eigenvectors are the orthonormal sine modes, so the transform to and
-    from eigen-coordinates is the orthonormal DST-I (an involution).
-    Instances are immutable and thread-safe.
+    from eigen-coordinates is the orthonormal DST-I (an involution): the
+    real FFT of the odd extension ``[0, v, 0, -reversed(v)]`` of length
+    ``2(m + 1)`` is ``-2i sum_n v_n sin(pi k n / (m + 1))`` at frequency
+    ``k``, so ``dst_scale`` times its imaginary part gives the coefficients,
+    bit for bit as ``scipy.fft.dst(v, type=1, norm="ortho")``.  Instances are
+    immutable and thread-safe.
+
+    A caller that transforms many rows keeps its own buffers, from
+    ``odd_buffer`` and ``spectrum_buffer``, and runs ``transform_odd`` on
+    them; ``forward`` is that sequence on fresh buffers.
     """
 
     def __init__(self, length: float, m: int):
@@ -56,49 +67,40 @@ class SpectralOperator:
         k = np.arange(1, m + 1)
         self.eigenvalues = (4.0 / self.h**2) * np.sin(k * np.pi / (2.0 * (m + 1))) ** 2
         self.x = self.h * k
+        self.dst_scale = -0.5 * np.sqrt(2.0 / (m + 1))
+
+    def odd_buffer(self, rows: tuple = ()) -> tuple:
+        """Zeroed odd extensions, shape ``rows + (2(m+1),)``, and the views
+        ``(body, tail)`` of them: a row ``v`` is written into ``body`` and
+        ``-v`` into ``tail``, which runs backwards."""
+        m = self.m
+        odd = np.zeros(tuple(rows) + (2 * m + 2,))
+        return odd, odd[..., 1:m + 1], odd[..., :m + 1:-1]
+
+    def spectrum_buffer(self, rows: tuple = ()) -> tuple:
+        """Complex output rows for ``transform_odd``, and the view of them
+        that then holds the sine coefficients."""
+        spectrum = np.zeros(tuple(rows) + (self.m + 2,), dtype=complex)
+        return spectrum, spectrum.imag[..., 1:self.m + 1]
+
+    def transform_odd(self, odd: np.ndarray, out: np.ndarray) -> None:
+        """Transform the odd extensions ``odd`` into the spectrum rows
+        ``out``, whose coefficient view then holds their sine coefficients."""
+        _rfft_scaled(odd, self.dst_scale, out=out)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of ``v`` in the orthonormal sine basis, along the last
         axis (the rows of a 2-D ``v`` are transformed separately)."""
-        # scipy.fftpack runs the pocketfft kernel of scipy.fft.dst, bit for
-        # bit, without the backend dispatch that costs more than the kernel
-        return scipy.fftpack.dst(v, type=1, norm="ortho")
+        rows = np.shape(v)[:-1]
+        odd, body, tail = self.odd_buffer(rows)
+        body[...] = v
+        np.negative(body, out=tail)
+        spectrum, coefficients = self.spectrum_buffer(rows)
+        self.transform_odd(odd, spectrum)
+        return coefficients
 
     # the orthonormal sine transform is its own inverse
     inverse = forward
-
-    def apply(self, f: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
-        """Apply the operator function ``f(L)`` to ``v`` spectrally."""
-        return self.apply_values(f(self.eigenvalues), v)
-
-    def apply_values(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if len(v) != self.m:
-            raise ValueError(f"vector length {len(v)} != {self.m}")
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("operator function not finite on the spectrum")
-        return self.inverse(values * self.forward(v))
-
-    def apply_stencil(self, v: np.ndarray) -> np.ndarray:
-        """Tridiagonal product ``L v`` with Dirichlet ends, in O(m)."""
-        out = 2.0 * v
-        out[:-1] -= v[1:]
-        out[1:] -= v[:-1]
-        return out / self.h**2
-
-    def inner(self, u: np.ndarray, v: np.ndarray, metric: str = "l2") -> float:
-        """Quadrature-weighted inner product: ``h * sum(u v)`` for ``l2``,
-        ``h * sum(u L^{-1} v)`` for ``hminus1``."""
-        if metric == "l2":
-            return float(self.h * np.dot(u, v))
-        if metric == "hminus1":
-            return float(self.h * np.dot(self.forward(u), self.forward(v) / self.eigenvalues))
-        raise ValueError(f"unknown metric {metric!r}")
-
-
-def build_laplacian_1d(length: float, m: int) -> SpectralOperator:
-    """Dirichlet Laplacian on ``(0, length)`` with ``m`` interior points."""
-    return SpectralOperator(length, m)
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,22 @@ class Problem:
             return self.kind.eps * self.kind.eps * lam**2 + self.kind.kappa * lam
         return lam + self.kind.kappa
 
-    def g_stabilized(self, u: np.ndarray) -> np.ndarray:
-        """Sine coefficients (``op.forward``) of the stabilized nonlinearity
-        at the physical state ``u``."""
+    def nonlinearity(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Physical-space part of the stabilized nonlinearity at the state
+        ``u``: ``(1 + kappa) u - u^3`` for Cahn-Hilliard, ``g(u) + kappa u``
+        otherwise.  Written into ``out`` when given."""
         if isinstance(self.kind, CahnHilliard):
-            return self.op.eigenvalues * self.op.forward((1.0 + self.kind.kappa) * u - u * u * u)
-        return self.op.forward(self.kind.g(u) + self.kind.kappa * u)
+            out = np.multiply(u, u, out=out)
+            np.subtract(1.0 + self.kind.kappa, out, out=out)
+            return np.multiply(out, u, out=out)
+        return np.add(self.kind.g(u), self.kind.kappa * u, out=out)
+
+    @property
+    def nonlinearity_factor(self):
+        """Eigenvalue-wise factor that takes the sine coefficients of
+        ``nonlinearity(u)`` to those of the stabilized nonlinearity: ``L``
+        for Cahn-Hilliard, 1 otherwise."""
+        return self.op.eigenvalues if isinstance(self.kind, CahnHilliard) else 1.0
 
     def energy(self, v: np.ndarray, v_hat: Optional[np.ndarray] = None):
         """Discrete free energy ``(stiff quadratic)/2 + h * sum G(v)``.

@@ -20,8 +20,9 @@ from eerk.dissipation import (
 )
 from eerk.integrator import integrate
 from eerk.phi import phi
-from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear, build_laplacian_1d
+from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear
 from eerk.tableaux import butcher_diff, coefficient_matrix, get_method
+from oracles import apply, build_laplacian_1d
 
 EPS = np.finfo(float).eps
 
@@ -302,8 +303,8 @@ def test_criterion_10_property_suites():
     # spectral composition
     f = lambda lam: 1.0 / (1.0 + lam)
     g = lambda lam: np.exp(-1e-3 * lam)
-    left = op.apply(f, op.apply(g, v))
-    right = op.apply(lambda lam: f(lam) * g(lam), v)
+    left = apply(op, f, apply(op, g, v))
+    right = apply(op, lambda lam: f(lam) * g(lam), v)
     if np.max(np.abs(left - right)) > 1e-11 * np.max(np.abs(right)):
         failures.append("composition")
 
@@ -311,7 +312,7 @@ def test_criterion_10_property_suites():
     decay = Problem(op, StabilizedSemilinear(kappa=0.0, g=lambda u: 0.0 * u,
                                              potential=lambda u: 0.0 * u))
     u0 = rng.standard_normal(48)
-    exact = op.apply(lambda lam: np.exp(-0.5 * lam), u0)
+    exact = apply(op, lambda lam: np.exp(-0.5 * lam), u0)
     for name, params in TWELVE_METHODS:
         rep = integrate(decay, get_method(name, **params), u0, 0.05, 0.5)
         if np.max(np.abs(rep.final_state - exact)) > 1e-9:
@@ -320,7 +321,7 @@ def test_criterion_10_property_suites():
     # equilibria preservation with a frozen nonlinearity
     kappa = 0.8
     u_star = rng.standard_normal(48)
-    lk_u_star = op.apply(lambda lam: lam + kappa, u_star)
+    lk_u_star = apply(op, lambda lam: lam + kappa, u_star)
     frozen = Problem(op, StabilizedSemilinear(kappa=kappa, g=lambda u: lk_u_star - kappa * u,
                                               potential=lambda u: 0.0 * u))
     for name, params in TWELVE_METHODS:

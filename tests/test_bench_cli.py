@@ -368,3 +368,39 @@ def test_cli_energy_divergence_exit_code(capsys, tmp_path):
     assert "DIVERGED" in capsys.readouterr().out
     # the series up to the failure is still on disk
     assert (tmp_path / "eerk2-c2-1_energy.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--method", "etd1", "--tau", "0.01,0.005", "--T", "0.02", "--ref-tau", "0.0025",
+     "--m", "7"],
+    ["energy", "--method", "etd1", "--tau", "0.1", "--T", "0.2", "--m", "7"],
+], ids=["converge", "energy"])
+def test_cli_unusable_out_exits_before_computing(argv, capsys, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrate called before the output directory was checked")
+
+    monkeypatch.setattr("eerk.bench.integrate", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in ("/dev/null/x", str(blocker), str(blocker / "sub")):
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_stage_law_verdicts(capsys, tmp_path):
+    # the T=160 decay run ends with margins of -2.8e-16, once the energy has
+    # stopped changing: below zero, but within a few ulps of the energies
+    decay = Path(__file__).resolve().parent.parent / "configs" / "energy-decay.cfg"
+    assert main(["energy", "--config", str(decay), "--out", str(tmp_path)]) == 0
+    assert "stage law held within rounding" in capsys.readouterr().out
+    cfg = load_config(decay, {"T": "10"})
+    rep = run_energy(cfg)["eerk31:c2=4/9"]
+    assert rep.energy_law == "held" and rep.margins.min() >= 0
+    # a method that is not PSD, at a step far beyond its sampled grid
+    args = ["--m", "63", "--ic", "bumps", "--tau", "10", "--T", "50", "--monitor"]
+    assert main(["energy", "--method", "etd2cf3", *args]) == 0
+    assert "stage law violated" in capsys.readouterr().out
+    rep = run_energy(load_config(None, {"method": "etd2cf3", "m": "63", "ic": "bumps", "tau": "10",
+                                        "T": "50", "monitor": "on"}))["etd2cf3"]
+    assert rep.energy_law == "violated"
+    assert rep.margins.min() < -1e10 * rep.margin_floors.max()

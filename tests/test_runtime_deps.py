@@ -1,0 +1,48 @@
+"""eerk needs numpy alone at run time.
+
+Each check runs in a fresh interpreter, so that modules the test suite
+imports (scipy, as the transform oracle) do not hide what eerk imports.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# blocks scipy and records every attempt to import it, also one that a
+# try/except would swallow; then runs the CLI through main()
+NO_SCIPY = """
+import json, sys
+attempts = []
+sys.addaudithook(lambda event, args: event == "import"
+                 and args[0].split(".")[0] == "scipy" and attempts.append(args[0]))
+sys.modules["scipy"] = None
+import eerk, eerk.cli
+out = sys.argv[1]
+codes = [eerk.cli.main(argv + ["--out", out]) for argv in [
+    ["energy", "--method", "etd1", "--m", "31", "--tau", "0.1", "--T", "0.5", "--monitor"],
+    ["energy", "--method", "eerk31:c2=4/9", "--m", "31", "--tau", "0.1", "--T", "0.5", "--monitor"],
+    ["converge", "--method", "eerk2w:c2=1/2", "--m", "31", "--tau", "0.05,0.025", "--T", "0.1",
+     "--ref-method", "eerk2w:c2=3/11", "--ref-tau", "0.0125"],
+]]
+loaded = [k for k, v in sys.modules.items() if k.split(".")[0] == "scipy" and v is not None]
+print(json.dumps({"codes": codes, "attempts": attempts, "loaded": loaded}))
+"""
+
+
+def _run(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    result = json.loads(_run(NO_SCIPY, str(tmp_path)))
+    assert result == {"codes": [0, 0, 0], "attempts": [], "loaded": []}
+    assert (tmp_path / "eerk31-c2-4-9_margins.csv").is_file()
+    assert (tmp_path / "eerk2w-c2-1-2_convergence.csv").is_file()
+
