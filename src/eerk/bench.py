@@ -153,7 +153,6 @@ class ExperimentConfig:
     grid: str = "default"
     out: Optional[Path] = None
     monitor: bool = False
-    metric: Optional[str] = None
     ref_method: Optional[str] = None
     ref_tau: Optional[float] = None
     implicit: bool = False
@@ -172,7 +171,6 @@ class ExperimentConfig:
             return Problem(
                 SpectralOperator(self.length, self.m),
                 CahnHilliard(eps=self.eps, kappa=self.kappa),
-                metric_override=self.metric,
             )
         except ValueError as exc:
             raise ConfigError(f"{exc} (eps={self.eps}, kappa={self.kappa})") from exc
@@ -230,7 +228,7 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
 
     Recognized keys: ``method`` (comma-separated specs), ``eps``, ``kappa``,
     ``length``, ``m``, ``h``, ``ic``, ``tau`` (comma-separated), ``T``,
-    ``grid``, ``out``, ``monitor``, ``metric``, ``ref_method``, ``ref_tau``,
+    ``grid``, ``out``, ``monitor``, ``ref_method``, ``ref_tau``,
     ``implicit``.  Precedence: ``defaults`` < file entries < ``overrides``.
     """
     raw = dict(defaults or {})
@@ -278,7 +276,7 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
                 setattr(cfg, key, value if isinstance(value, bool) else _parse_bool(value))
             elif key == "out":
                 cfg.out = Path(value)
-            elif key in ("ic", "grid", "metric", "ref_method"):
+            elif key in ("ic", "grid", "ref_method"):
                 setattr(cfg, key, value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -286,8 +284,6 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
-    if cfg.metric not in (None, "l2", "hminus1"):
-        raise ConfigError(f"unknown metric {cfg.metric!r}")
     # at the upper end, a 5-stage monitored run's coefficient caches take 440 MB
     if not 2 <= cfg.m <= _MAX_POINTS:
         raise ConfigError(f"mesh must have 2 to {_MAX_POINTS} interior points, got {cfg.m}")

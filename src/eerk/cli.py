@@ -10,8 +10,8 @@ Subcommands::
 
 Method specs look like ``etd1``, ``eerk2:c2=0.5`` or
 ``eerk32:c2=0.75,c3=0.6``; abscissas accept decimals or fractions.  All
-outputs are CSV.  Exit codes: 0 success, 2 configuration error,
-3 divergence.
+outputs are CSV.  Exit codes: 0 success, 2 configuration error (also a
+z grid on which D(z) leaves the float64 range), 3 divergence.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from eerk.bench import (
     run_energy,
     run_rate,
 )
+from eerk.dissipation import SingularDiagonalError
 from eerk.tableaux import METHOD_PARAMS, MethodError
 
 _EXIT_CONFIG = 2
@@ -65,7 +66,6 @@ def _add_problem_flags(sub):
     sub.add_argument("--m", help="interior mesh points")
     sub.add_argument("--h", help="mesh spacing (alternative to --m)")
     sub.add_argument("--ic", help="initial profile: sine | bumps")
-    sub.add_argument("--metric", help="override monitor metric: l2 | hminus1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,11 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args, keys) -> dict:
+def _overrides(args) -> dict:
+    """Config overrides from the flags given on the command line."""
     out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None and value is not False:
             out[key if key != "methods" else "method"] = value
     return out
 
@@ -120,7 +120,7 @@ def _cmd_catalog(_args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = load_config(args.config, _overrides(args, ["methods", "out", "grid", "implicit"]))
+    cfg = load_config(args.config, _overrides(args))
     for label, verdict in run_analysis(cfg).items():
         if verdict.witness is None:
             print(f"{label:28s} {verdict.verdict}")
@@ -132,7 +132,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    cfg = load_config(args.config, _overrides(args, ["methods", "out", "grid", "implicit"]))
+    cfg = load_config(args.config, _overrides(args))
     curves = run_rate(cfg)
     grid = cfg.z_grid()
     for label, data in curves.items():
@@ -143,9 +143,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    keys = ["methods", "out", "tau", "kappa", "eps", "T", "m", "h", "ic",
-            "metric", "ref_method", "ref_tau"]
-    cfg = load_config(args.config, _overrides(args, keys))
+    cfg = load_config(args.config, _overrides(args))
     for label, rows in run_convergence(cfg).items():
         print(f"# {label}")
         print(f"{'tau':>12s} {'error':>14s} {'order':>7s}")
@@ -156,10 +154,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    keys = ["methods", "out", "tau", "kappa", "eps", "T", "m", "h", "ic",
-            "metric", "monitor"]
     defaults = {"ic": "bumps", "tau": "0.1", "T": "160"}
-    cfg = load_config(args.config, _overrides(args, keys), defaults=defaults)
+    cfg = load_config(args.config, _overrides(args), defaults=defaults)
     reports = run_energy(cfg)
     diverged = False
     for label, report in reports.items():
@@ -189,7 +185,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, MethodError) as exc:
+    except (ConfigError, MethodError, SingularDiagonalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except BenchDivergence as exc:

@@ -47,7 +47,6 @@ that step.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -161,7 +160,6 @@ class RunReport:
     margin_floors: Optional[np.ndarray]  # rounding floor of each margin
     diverged: bool
     diverged_step: Optional[int]
-    wall_time: float
 
     @property
     def n_steps(self) -> int:
@@ -212,7 +210,6 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
     sup_norms = [np.max(np.abs(u[:1]), axis=1)]
     margins, floors = [], []
     diverged_step = None
-    start = time.perf_counter()
     # overflow in a blowing-up nonlinearity is handled via the divergence
     # check, not floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,7 +240,6 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
                 u[0], u_hat[0] = u[k * s], u_hat[k * s]
             if diverged_step is not None:
                 break
-    wall = time.perf_counter() - start
     energies = np.concatenate(energies)
     return RunReport(
         method=tableau.label,
@@ -256,5 +252,4 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
         margin_floors=np.concatenate(floors) if floors else None,
         diverged=diverged_step is not None,
         diverged_step=diverged_step,
-        wall_time=wall,
     )

@@ -128,7 +128,6 @@ class StabilizedSemilinear:
 class Problem:
     op: SpectralOperator
     kind: Union[CahnHilliard, StabilizedSemilinear]
-    metric_override: Optional[str] = None
 
     def __post_init__(self):
         if isinstance(self.kind, CahnHilliard) and not self.kind.eps >= 0:
@@ -138,14 +137,10 @@ class Problem:
             mu = self.spectral_shift(self.op.eigenvalues)
         if not np.all(np.isfinite(mu) & (mu > 0)):
             raise ValueError("stiff spectral map must be finite and positive on the spectrum")
-        if self.metric_override not in (None, "l2", "hminus1"):
-            raise ValueError(f"unknown metric {self.metric_override!r}")
 
     @property
     def metric(self) -> str:
-        """Inner product used by energies and stage-law monitoring."""
-        if self.metric_override is not None:
-            return self.metric_override
+        """Inner product of energies and stage-law monitoring, fixed by the kind."""
         return "hminus1" if isinstance(self.kind, CahnHilliard) else "l2"
 
     def spectral_shift(self, lam):

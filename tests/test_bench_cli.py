@@ -338,6 +338,10 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     ["converge", "--method", "etd1", "--ref-tau", "-1"],
     ["converge", "--method", "etd1", "--ref-tau", "inf"],
     ["converge", "--method", "etd1", "--tau", "0.01,0.01", "--T", "0.02"],
+    # D(z) leaves the float64 range on these grids
+    ["analyze", "--method", "ho4", "--grid", "log:1e20:1e30:3"],
+    ["rate", "--method", "ho4", "--grid", "lin:-1e160:-1e150:3"],
+    ["analyze", "--method", "cm4", "--grid", "lin:-1e160:-1e150:3"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2

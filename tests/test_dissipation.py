@@ -12,7 +12,6 @@ from eerk.dissipation import (
     default_z_grid,
     differentiation_matrix,
     differentiation_matrix_inverse_route,
-    dissipation_sample,
     doc_identity_residual,
     doc_kernels,
     eerk32_abscissa_condition,
@@ -122,10 +121,6 @@ def test_two_route_equality_all_methods():
         assert np.max(np.abs(d1i - d2i)) <= 1e-10, name
 
 
-def test_verify_flag_cross_checks():
-    differentiation_matrix(get_method("eerk31", c2="2/3"), -5.0, verify=True)
-
-
 def test_lower_triangular_structure():
     d = differentiation_matrix(get_method("cm4"), -3.0)
     assert np.array_equal(np.triu(d, 1), np.zeros_like(d))
@@ -205,6 +200,42 @@ def test_npd_methods_have_witness(name):
     assert c.verdict == "NPD"
     assert c.witness is not None and c.witness.z < 0
     assert c.witness.minor_value < 0
+
+
+# witnesses on the default grid: (method, variant, z, minor index, value)
+NPD_WITNESSES = [
+    ("etd3rk", "standard", -1e-06, 3, -8.874991968755397),
+    ("etd2cf3", "standard", -6.006928558219965, 3, -1.6718602150980398e-07),
+    ("cm4", "standard", -1e-06, 4, -0.7499972500017177),
+    ("krogstad4", "standard", -1e-06, 4, -0.7499937083367759),
+    ("sw4", "standard", -1e-06, 3, -8.750002142565901e-07),
+    ("ho4", "standard", -0.003277527820439235, 4, -739420810.8010744),
+    ("etd3rk", "implicit", -1e-06, 3, -8.874997187503583),
+    ("etd2cf3", "implicit", -1.2238625585322263, 3, -4.530596507125704e-08),
+    ("cm4", "implicit", -1e-06, 4, -0.7500074999967791),
+    ("krogstad4", "implicit", -1e-06, 4, -0.7500039583328195),
+    ("sw4", "implicit", -1e-06, 3, -4.812498516529633e-06),
+    ("ho4", "implicit", -0.003280952999481525, 4, -736341293.7357333),
+]
+
+
+@pytest.mark.parametrize("name,variant,z,index,value", NPD_WITNESSES,
+                         ids=[f"{w[0]}-{w[1]}" for w in NPD_WITNESSES])
+def test_npd_witness_is_pinned(name, variant, z, index, value):
+    w = classify_method(get_method(name), variant=variant).witness
+    assert w.minor_index == index
+    assert w.z == pytest.approx(z, rel=1e-12, abs=0)
+    assert w.minor_value == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["cm4", "krogstad4", "sw4", "etd2cf3"])
+def test_classify_rejects_non_finite_minors(name):
+    # D(z) leaves the float64 range: the minors there are inf or nan, and a
+    # comparison with them must not read as a pass
+    grid = np.linspace(-1e160, -1e150, 3)
+    with pytest.raises(SingularDiagonalError, match=f"{name}: .* z=-1e\\+160"):
+        classify_method(get_method(name), z_grid=grid)
 
 
 def test_etd2cf3_witness_below_minus_six():
@@ -290,17 +321,8 @@ def test_eerk32_abscissa_condition_values():
 
 
 # --------------------------------------------------------------------------
-# Samples and scans
+# Scans
 # --------------------------------------------------------------------------
-
-
-def test_dissipation_sample_coherence():
-    t = get_method("eerk31", c2="2/3")
-    s = dissipation_sample(t, -5.0)
-    assert s.minors == pytest.approx(leading_principal_minors(s.d))
-    assert s.rate == pytest.approx(np.trace(s.d) / 3, rel=1e-12)
-    assert s.sym == pytest.approx(0.5 * (s.d + s.d.T))
-    assert s.variant == "standard"
 
 
 def test_scan_shapes():
