@@ -4,11 +4,13 @@ The package bundles:
 
 * numerically stable phi-function evaluation and symbolic tableau
   coefficients (:mod:`eerk.phi`),
-* a catalog of EERK Butcher tableaux with parameterized abscissas
+* a catalog of EERK Butcher tableaux with parameterized abscissas, their
+  evaluation ``A(z)`` and their symbolic Butcher-Diff form
   (:mod:`eerk.tableaux`),
 * the energy-dissipation machinery: discrete orthogonal convolution
-  kernels, differentiation matrices, leading-principal-minor
-  classification and average dissipation rates (:mod:`eerk.dissipation`),
+  kernels, differentiation matrices built from the evaluated ``A(z)``,
+  leading-principal-minor classification and average dissipation rates
+  (:mod:`eerk.dissipation`),
 * a spectral 1-D Dirichlet Laplacian, diagonalised by the orthonormal
   DST-I, and the Cahn-Hilliard problem setup (:mod:`eerk.spatial`),
 * the generic stage loop with optional stage-energy-law monitoring
@@ -34,8 +36,6 @@ from eerk.tableaux import (
     butcher_diff,
     get_method,
     parse_method,
-    verify_order_conditions,
-    verify_row_sums,
 )
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "get_method",
     "parse_method",
     "butcher_diff",
-    "verify_row_sums",
-    "verify_order_conditions",
     "doc_kernels",
     "differentiation_matrix",
     "leading_principal_minors",

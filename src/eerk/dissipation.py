@@ -14,9 +14,10 @@ satisfying ``sum_{l=j..m} theta[m, l] * abar[l+1, j] = delta_{mj}``.  The
 
 on the lower triangle.  Positive semi-definiteness of the symmetric part
 ``S = (D + D^T)/2`` certifies that the method dissipates the gradient-flow
-energy at every stage, for every step size.  Equivalently (a second,
-independent route), ``D = A(z)^{-1} E + z E - (z/2) I`` with ``E`` the
-lower-triangular matrix of ones.
+energy at every stage, for every step size.  The difference coefficients are
+not evaluated on their own: ``abar`` is the evaluated ``A(z)`` with each row
+less the row before it, so one evaluation of ``A(z)`` serves both the stage
+loop and ``D(z)``.
 
 The scalar ``trace(D)/s`` is the *average dissipation rate* R(z): values
 near 1 mean the discrete energy decays at about the continuous rate, larger
@@ -31,23 +32,19 @@ refined by bisection toward the sign change; a non-finite minor is an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from eerk.phi import evaluate
-from eerk.tableaux import Tableau, butcher_diff, coefficient_matrix
+from eerk.tableaux import Tableau, coefficient_matrix
 
 __all__ = [
     "SingularDiagonalError",
     "doc_kernels",
-    "doc_identity_residual",
     "differentiation_matrix",
-    "differentiation_matrix_inverse_route",
     "leading_principal_minors",
     "average_dissipation_rate",
-    "eerk32_abscissa_condition",
     "default_z_grid",
     "Witness",
     "Classification",
@@ -68,11 +65,18 @@ def _check_variant(variant):
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _theta_from_abar(abar: np.ndarray) -> np.ndarray:
+def _first_zero(diag: np.ndarray, z, label: str) -> None:
+    """Raise :class:`SingularDiagonalError` naming the first of the points
+    ``z`` at which an entry of ``diag``, shape ``(n, s)`` or ``(s,)``, is 0."""
+    zero = np.any(diag == 0.0, axis=-1)
+    if np.any(zero):
+        z0 = np.ravel(z)[np.argmax(np.ravel(zero))]
+        raise SingularDiagonalError(f"{label}: a diagonal coefficient vanishes at z={z0:.6g}")
+
+
+def _theta_from_abar(abar: np.ndarray, z, label: str) -> np.ndarray:
     s = abar.shape[-1]
-    diag = abar[..., range(s), range(s)]
-    if np.any(diag == 0.0):
-        raise SingularDiagonalError("zero diagonal difference coefficient")
+    _first_zero(abar[..., range(s), range(s)], z, label)
     theta = np.zeros_like(abar)
     for k in range(s):
         theta[..., k, k] = 1.0 / abar[..., k, k]
@@ -90,49 +94,31 @@ def doc_kernels(dt: Tableau, z) -> np.ndarray:
     Shape ``(s, s)`` for scalar ``z``, ``(n, s, s)`` for an ``(n,)`` array.
     Raises :class:`SingularDiagonalError` when a diagonal entry vanishes.
     """
-    return _theta_from_abar(coefficient_matrix(dt, z))
+    return _theta_from_abar(coefficient_matrix(dt, z), z, dt.label)
 
 
-def doc_identity_residual(dt: Tableau, z) -> float:
-    """Max elementwise residual of ``Theta @ Abar = I`` at ``z``."""
-    abar = coefficient_matrix(dt, z)
-    theta = _theta_from_abar(abar)
-    eye = np.eye(abar.shape[-1])
-    return float(np.max(np.abs(theta @ abar - eye)))
+def _from_coefficients(a: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
+    """``D(z)``, shape ``(n, s, s)``, from the evaluated ``A(z)``, shape
+    ``(n, s, s)``, at the ``(n,)`` points ``z``."""
+    abar = a.copy()
+    abar[..., 1:, :] -= a[..., :-1, :]
+    theta = _theta_from_abar(abar, z, label)
+    s = a.shape[-1]
+    lower = np.tri(s)
+    zz = z[..., None, None]
+    if variant == "standard":
+        # z/2 * (2 - delta_kl) on the lower triangle
+        return theta + zz * lower - (zz / 2.0) * np.eye(s)
+    return theta + zz * lower
 
 
 def differentiation_matrix(t: Tableau, z, variant: str = "standard") -> np.ndarray:
     """Differentiation matrix ``D(z)`` (or the implicit variant) at ``z``,
-    built through the DOC recursion."""
+    built from the evaluated ``A(z)`` through the DOC recursion."""
     _check_variant(variant)
     scalar = np.isscalar(z)
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    dt = butcher_diff(t)
-    theta = _theta_from_abar(coefficient_matrix(dt, zarr))
-    s = t.stages
-    lower = np.tri(s)
-    zz = zarr[..., None, None]
-    if variant == "standard":
-        # z/2 * (2 - delta_kl) on the lower triangle
-        d = theta + zz * lower - (zz / 2.0) * np.eye(s)
-    else:
-        d = theta + zz * lower
-    return d[0] if scalar else d
-
-
-def differentiation_matrix_inverse_route(t: Tableau, z, variant: str = "standard") -> np.ndarray:
-    """``A(z)^{-1} E + z E - (z/2) I`` (standard) or ``A^{-1} E + z E``."""
-    _check_variant(variant)
-    scalar = np.isscalar(z)
-    zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    a = coefficient_matrix(t, zarr)
-    s = t.stages
-    ones_lower = np.tri(s)
-    theta = np.linalg.solve(a, np.broadcast_to(ones_lower, a.shape).copy())
-    zz = zarr[..., None, None]
-    d = theta + zz * ones_lower
-    if variant == "standard":
-        d = d - (zz / 2.0) * np.eye(s)
+    d = _from_coefficients(coefficient_matrix(t, zarr), zarr, variant, t.label)
     return d[0] if scalar else d
 
 
@@ -161,29 +147,14 @@ def average_dissipation_rate(t: Tableau, z, variant: str = "standard"):
     _check_variant(variant)
     scalar = np.isscalar(z)
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
+    diag = [np.broadcast_to(evaluate(row[i], zarr), zarr.shape) for i, row in enumerate(t.rows)]
+    _first_zero(np.stack(diag, axis=-1), zarr, t.label)
     inv_sum = np.zeros_like(zarr)
-    for i, row in enumerate(t.rows):
-        diag = np.asarray(evaluate(row[i], zarr), dtype=float)
-        if np.any(diag == 0.0):
-            raise SingularDiagonalError("zero diagonal coefficient")
-        inv_sum += 1.0 / diag
+    for d in diag:
+        inv_sum += 1.0 / d
     shift = 0.5 if variant == "standard" else 1.0
     rate = shift * zarr + inv_sum / t.stages
     return float(rate[0]) if scalar else rate
-
-
-def eerk32_abscissa_condition(c2, c3) -> float:
-    """Necessary large-|z| rate condition for the two-parameter third-order
-    family: nonnegative return means ``R(z)`` stays nonnegative as
-    ``z -> -inf``.
-    """
-    c2 = float(Fraction(c2) if isinstance(c2, str) else c2)
-    c3 = float(Fraction(c3) if isinstance(c3, str) else c3)
-    if c2 == 2.0 / 3.0 or c3 == c2 or c3 == 0.0:
-        raise ValueError("degenerate abscissas: need c2 != 2/3, c3 != c2, c3 != 0")
-    return (6.0 * c3 * (c2 - c3) / (3.0 * c2 - 2.0)
-            - 1.0
-            + 2.0 * c2 * (3.0 * c2 - 2.0) / (3.0 * c3 * (c2 - c3)))
 
 
 def default_z_grid() -> np.ndarray:

@@ -38,7 +38,8 @@ stage energy inequality
 
 in the problem's metric (H^{-1} for Cahn-Hilliard, L^2 otherwise), where
 ``dU^{i+1} = U^{i+1} - U^i`` and ``d_{kl}`` is the differentiation matrix
-evaluated per eigenvalue.  Every term is diagonal in the sine basis, so the
+per eigenvalue, built from the same evaluated ``a_{i+1,j}`` as the
+coefficient cache.  Every term is diagonal in the sine basis, so the
 quadratic forms of a block are one contraction of a metric-weighted
 ``(s, s, m)`` cache of ``d_{kl}`` with the coefficient increments, and a
 cumulative sum.  Nonnegative margins certify that the inequality held for
@@ -52,10 +53,9 @@ from typing import Optional
 
 import numpy as np
 
-from eerk.dissipation import differentiation_matrix
-from eerk.phi import evaluate
+from eerk.dissipation import _from_coefficients
 from eerk.spatial import Problem
-from eerk.tableaux import Tableau
+from eerk.tableaux import Tableau, coefficient_matrix
 
 # steps per block, and stage values per block buffer (512 kB), so that a
 # large mesh does not pay for the batching in memory
@@ -81,11 +81,10 @@ class _StepWorkspace:
         m = op.m
         tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
         s = tableau.stages
-        # a_{i+1,j}(z) per eigenvalue, zero above the diagonal
-        a = np.zeros((s, s, m))
-        for i, row in enumerate(tableau.rows):
-            for j, entry in enumerate(row):
-                a[i, j] = evaluate(entry, -tau_mu)
+        # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the one
+        # evaluation of the tableau in a run
+        a_z = coefficient_matrix(tableau, -tau_mu)
+        a = np.ascontiguousarray(np.moveaxis(a_z, 0, -1))
         # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s],
         # g_j = factor * DST(N(U^j)) with N the physical-space nonlinearity:
         # column 0 holds b_i, column j the folded tau a_{i+1,j} * factor
@@ -108,7 +107,7 @@ class _StepWorkspace:
         self.dmats = None
         if monitor:
             # d_{kl}(z), zero above the diagonal, times the metric weight
-            d = differentiation_matrix(tableau, -tau_mu)
+            d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
             weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
             self.dmats = np.ascontiguousarray(np.moveaxis(d, 0, -1) * weight)
 

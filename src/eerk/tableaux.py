@@ -42,10 +42,6 @@ __all__ = [
     "parse_method",
     "coefficient_matrix",
     "butcher_diff",
-    "verify_row_sums",
-    "verify_order_conditions",
-    "RowSumReport",
-    "ConditionCheck",
 ]
 
 
@@ -55,10 +51,6 @@ class MethodError(ValueError):
 
 F = Fraction
 _ZERO = Const(F(0))
-
-
-def _c(value) -> Const:
-    return Const(value if isinstance(value, Fraction) else F(value))
 
 
 def _cp(coeff, order, scale=F(1)) -> PhiExpr:
@@ -377,109 +369,3 @@ def parse_method(spec: str) -> Tableau:
                 raise MethodError(f"malformed method spec {spec!r}")
             params[key.strip()] = value.strip()
     return get_method(name.strip(), **params)
-
-
-# --------------------------------------------------------------------------
-# Coefficient identity checks
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RowSumReport:
-    max_deviation: float
-    passed: bool
-    worst_z: float
-    worst_row: int
-    tolerance: float
-
-
-def verify_row_sums(t: Tableau, z_grid, tol: float = 1e-11) -> RowSumReport:
-    """Check the equilibria identity: row ``i`` of ``A(z)`` must sum to
-    ``(exp(c_{i+1} z) - 1)/z`` for every ``z`` in the grid.
-
-    The right-hand side is evaluated through ``expm1``, independently of the
-    phi-function code path.
-    """
-    zarr = np.asarray(z_grid, dtype=float)
-    a = coefficient_matrix(t, zarr)
-    worst = 0.0
-    worst_z, worst_row = float(zarr.flat[0]), 1
-    for i in range(t.stages):
-        target = np.expm1(float(t.c[i + 1]) * zarr) / zarr
-        dev = np.abs(a[..., i, : i + 1].sum(axis=-1) - target)
-        idx = int(np.argmax(dev))
-        if dev[idx] > worst:
-            worst, worst_z, worst_row = float(dev[idx]), float(zarr[idx]), i + 1
-    return RowSumReport(worst, worst <= tol, worst_z, worst_row, tol)
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    residual_origin: float
-    max_residual: float
-    status: str  # "strict" | "weak" | "failed"
-
-
-def _classify(origin: float, worst: float, tol: float) -> str:
-    if worst <= tol:
-        return "strict"
-    if origin <= tol:
-        return "weak"
-    return "failed"
-
-
-def verify_order_conditions(t: Tableau, target_order: int, z_grid, tol: float = 1e-12):
-    """Evaluate stiff order-condition residuals on a grid of ``z`` values.
-
-    A condition is *strict* when its residual stays below ``tol`` on the
-    whole grid, *weak* when it only holds at ``z = 0`` (residuals there
-    below ``tol`` but orders of magnitude above it on the grid), and
-    *failed* otherwise.  The coupling condition that quantifies over an
-    arbitrary bounded operator is checked with that operator taken as the
-    scalar identity.
-
-    Supported: two-stage methods at order 2, three-stage methods at order 2
-    (the first four conditions) or 3 (all six).
-    """
-    zarr = np.concatenate([[0.0], np.asarray(z_grid, dtype=float)])
-    a = coefficient_matrix(t, zarr)
-    s = t.stages
-    c = [float(v) for v in t.c]
-    p1 = evaluate(Phi(1), zarr)
-    p2 = evaluate(Phi(2), zarr)
-
-    if s == 2 and target_order == 2:
-        residuals = [
-            ("weights_phi1", a[:, 1, 0] + a[:, 1, 1] - p1),
-            ("weights_abscissa_phi2", a[:, 1, 1] * c[1] - p2),
-            ("second_stage_consistency", a[:, 0, 0] - c[1] * evaluate(Phi(1, t.c[1]), zarr)),
-        ]
-    elif s == 3 and target_order in (2, 3):
-        b = a[:, 2, :]
-        residuals = [
-            ("weights_phi1", b[:, 0] + b[:, 1] + b[:, 2] - p1),
-            ("weights_abscissa_phi2", b[:, 1] * c[1] + b[:, 2] * c[2] - p2),
-            ("second_stage_consistency", a[:, 0, 0] - c[1] * evaluate(Phi(1, t.c[1]), zarr)),
-            ("third_stage_consistency", a[:, 1, 0] + a[:, 1, 1] - c[2] * evaluate(Phi(1, t.c[2]), zarr)),
-        ]
-        if target_order == 3:
-            p3 = evaluate(Phi(3), zarr)
-            psi23 = c[2] ** 2 * evaluate(Phi(2, t.c[2]), zarr) - c[1] * a[:, 1, 1]
-            residuals += [
-                ("weights_abscissa_sq_phi3", b[:, 1] * c[1] ** 2 + b[:, 2] * c[2] ** 2 - 2 * p3),
-                ("stage_defect_orthogonality",
-                 b[:, 1] * c[1] ** 2 * evaluate(Phi(2, t.c[1]), zarr) + b[:, 2] * psi23),
-            ]
-    else:
-        raise MethodError(
-            f"order-condition check supports 2-stage order 2 and 3-stage order 2/3; "
-            f"got {s} stages at order {target_order}"
-        )
-
-    checks = []
-    for name, r in residuals:
-        origin = float(np.abs(r[0]))
-        worst = float(np.max(np.abs(r)))
-        checks.append(ConditionCheck(name, origin, worst, _classify(origin, worst, tol)))
-    return checks

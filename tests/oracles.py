@@ -1,14 +1,27 @@
-"""Second routes to the spectral operator, for tests only.
+"""Second routes for tests only, built on public names alone.
 
-``scipy.fft.dst`` transforms here, so a result built from these helpers does
-not share its sine transform with ``SpectralOperator.forward``, and the
-stencil product and quadrature inner product take no transform at all.
+Spectral operator: ``scipy.fft.dst`` transforms here, so a result built
+from these helpers does not share its sine transform with
+``SpectralOperator.forward``, and the stencil product and quadrature inner
+product take no transform at all.
+
+Tableaux and differentiation matrices: ``D(z)`` through a linear solve with
+``A(z)`` instead of the DOC recursion, the residual of the DOC identity, the
+row-sum (equilibria) identity through ``expm1``, the stiff order-condition
+residuals, and the large-|z| rate condition of the two-parameter third-order
+family in closed form.
 """
+
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.fft
 
+from eerk.dissipation import doc_kernels
+from eerk.phi import Phi, evaluate
 from eerk.spatial import SpectralOperator
+from eerk.tableaux import MethodError, Tableau, coefficient_matrix
 
 
 def build_laplacian_1d(length: float, m: int) -> SpectralOperator:
@@ -56,3 +69,154 @@ def inner(op, u, v, metric="l2"):
 def g_stabilized(problem, u):
     """Sine coefficients of the stabilized nonlinearity at the state ``u``."""
     return problem.nonlinearity_factor * _dst(problem.nonlinearity(u))
+
+
+# --------------------------------------------------------------------------
+# Differentiation matrices and DOC kernels
+# --------------------------------------------------------------------------
+
+
+def differentiation_matrix_inverse_route(t: Tableau, z, variant: str = "standard") -> np.ndarray:
+    """``A(z)^{-1} E + z E - (z/2) I`` (standard) or ``A^{-1} E + z E``, with
+    ``E`` the lower-triangular matrix of ones."""
+    if variant not in ("standard", "implicit"):
+        raise ValueError(f"unknown variant {variant!r}")
+    scalar = np.isscalar(z)
+    zarr = np.atleast_1d(np.asarray(z, dtype=float))
+    a = coefficient_matrix(t, zarr)
+    s = t.stages
+    ones_lower = np.tri(s)
+    theta = np.linalg.solve(a, np.broadcast_to(ones_lower, a.shape).copy())
+    zz = zarr[..., None, None]
+    d = theta + zz * ones_lower
+    if variant == "standard":
+        d = d - (zz / 2.0) * np.eye(s)
+    return d[0] if scalar else d
+
+
+def doc_identity_residual(dt: Tableau, z) -> float:
+    """Max elementwise residual of ``Theta @ Abar = I`` at ``z``."""
+    abar = coefficient_matrix(dt, z)
+    theta = doc_kernels(dt, z)
+    eye = np.eye(abar.shape[-1])
+    return float(np.max(np.abs(theta @ abar - eye)))
+
+
+def eerk32_abscissa_condition(c2, c3) -> float:
+    """Necessary large-|z| rate condition for the two-parameter third-order
+    family: nonnegative return means ``R(z)`` stays nonnegative as
+    ``z -> -inf``.
+    """
+    c2 = float(Fraction(c2) if isinstance(c2, str) else c2)
+    c3 = float(Fraction(c3) if isinstance(c3, str) else c3)
+    if c2 == 2.0 / 3.0 or c3 == c2 or c3 == 0.0:
+        raise ValueError("degenerate abscissas: need c2 != 2/3, c3 != c2, c3 != 0")
+    return (6.0 * c3 * (c2 - c3) / (3.0 * c2 - 2.0)
+            - 1.0
+            + 2.0 * c2 * (3.0 * c2 - 2.0) / (3.0 * c3 * (c2 - c3)))
+
+
+# --------------------------------------------------------------------------
+# Coefficient identity checks
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RowSumReport:
+    max_deviation: float
+    passed: bool
+    worst_z: float
+    worst_row: int
+    tolerance: float
+
+
+def verify_row_sums(t: Tableau, z_grid, tol: float = 1e-11) -> RowSumReport:
+    """Check the equilibria identity: row ``i`` of ``A(z)`` must sum to
+    ``(exp(c_{i+1} z) - 1)/z`` for every ``z`` in the grid.
+
+    The right-hand side is evaluated through ``expm1``, independently of the
+    phi-function code path.
+    """
+    zarr = np.asarray(z_grid, dtype=float)
+    a = coefficient_matrix(t, zarr)
+    worst = 0.0
+    worst_z, worst_row = float(zarr.flat[0]), 1
+    for i in range(t.stages):
+        target = np.expm1(float(t.c[i + 1]) * zarr) / zarr
+        dev = np.abs(a[..., i, : i + 1].sum(axis=-1) - target)
+        idx = int(np.argmax(dev))
+        if dev[idx] > worst:
+            worst, worst_z, worst_row = float(dev[idx]), float(zarr[idx]), i + 1
+    return RowSumReport(worst, worst <= tol, worst_z, worst_row, tol)
+
+
+@dataclass(frozen=True)
+class ConditionCheck:
+    name: str
+    residual_origin: float
+    max_residual: float
+    status: str  # "strict" | "weak" | "failed"
+
+
+def _classify(origin: float, worst: float, tol: float) -> str:
+    if worst <= tol:
+        return "strict"
+    if origin <= tol:
+        return "weak"
+    return "failed"
+
+
+def verify_order_conditions(t: Tableau, target_order: int, z_grid, tol: float = 1e-12):
+    """Evaluate stiff order-condition residuals on a grid of ``z`` values.
+
+    A condition is *strict* when its residual stays below ``tol`` on the
+    whole grid, *weak* when it only holds at ``z = 0`` (residuals there
+    below ``tol`` but orders of magnitude above it on the grid), and
+    *failed* otherwise.  The coupling condition that quantifies over an
+    arbitrary bounded operator is checked with that operator taken as the
+    scalar identity.
+
+    Supported: two-stage methods at order 2, three-stage methods at order 2
+    (the first four conditions) or 3 (all six).
+    """
+    zarr = np.concatenate([[0.0], np.asarray(z_grid, dtype=float)])
+    a = coefficient_matrix(t, zarr)
+    s = t.stages
+    c = [float(v) for v in t.c]
+    p1 = evaluate(Phi(1), zarr)
+    p2 = evaluate(Phi(2), zarr)
+
+    if s == 2 and target_order == 2:
+        residuals = [
+            ("weights_phi1", a[:, 1, 0] + a[:, 1, 1] - p1),
+            ("weights_abscissa_phi2", a[:, 1, 1] * c[1] - p2),
+            ("second_stage_consistency", a[:, 0, 0] - c[1] * evaluate(Phi(1, t.c[1]), zarr)),
+        ]
+    elif s == 3 and target_order in (2, 3):
+        b = a[:, 2, :]
+        residuals = [
+            ("weights_phi1", b[:, 0] + b[:, 1] + b[:, 2] - p1),
+            ("weights_abscissa_phi2", b[:, 1] * c[1] + b[:, 2] * c[2] - p2),
+            ("second_stage_consistency", a[:, 0, 0] - c[1] * evaluate(Phi(1, t.c[1]), zarr)),
+            ("third_stage_consistency", a[:, 1, 0] + a[:, 1, 1] - c[2] * evaluate(Phi(1, t.c[2]), zarr)),
+        ]
+        if target_order == 3:
+            p3 = evaluate(Phi(3), zarr)
+            psi23 = c[2] ** 2 * evaluate(Phi(2, t.c[2]), zarr) - c[1] * a[:, 1, 1]
+            residuals += [
+                ("weights_abscissa_sq_phi3", b[:, 1] * c[1] ** 2 + b[:, 2] * c[2] ** 2 - 2 * p3),
+                ("stage_defect_orthogonality",
+                 b[:, 1] * c[1] ** 2 * evaluate(Phi(2, t.c[1]), zarr) + b[:, 2] * psi23),
+            ]
+    else:
+        raise MethodError(
+            f"order-condition check supports 2-stage order 2 and 3-stage order 2/3; "
+            f"got {s} stages at order {target_order}"
+        )
+
+    checks = []
+    for name, r in residuals:
+        origin = float(np.abs(r[0]))
+        worst = float(np.max(np.abs(r)))
+        checks.append(ConditionCheck(name, origin, worst, _classify(origin, worst, tol)))
+    return checks

@@ -15,14 +15,12 @@ from eerk.dissipation import (
     average_dissipation_rate,
     classify_method,
     differentiation_matrix,
-    differentiation_matrix_inverse_route,
-    doc_identity_residual,
 )
 from eerk.integrator import integrate
 from eerk.phi import phi
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear
 from eerk.tableaux import butcher_diff, coefficient_matrix, get_method
-from oracles import apply, build_laplacian_1d
+from oracles import apply, build_laplacian_1d, differentiation_matrix_inverse_route, doc_identity_residual
 
 EPS = np.finfo(float).eps
 

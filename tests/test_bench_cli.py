@@ -20,7 +20,9 @@ from eerk.bench import (
     write_csv,
 )
 from eerk.cli import main
+from eerk.dissipation import SingularDiagonalError, doc_kernels
 from eerk.integrator import integrate
+from eerk.tableaux import butcher_diff, get_method
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +349,18 @@ def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_singular_diagonal_errors_name_method_and_z(capsys, tmp_path):
+    # ho4's fourth diagonal coefficient vanishes at z = 0 and far out
+    for command in ("rate", "analyze"):
+        assert main([command, "--method", "ho4", "--grid", "log:1e20:1e30:3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ho4" in err and "z=" in err, err
+    with pytest.raises(SingularDiagonalError) as exc:
+        doc_kernels(butcher_diff(get_method("ho4")), 0.0)
+    assert "ho4" in str(exc.value) and "z=" in str(exc.value)
 
 
 @pytest.mark.parametrize("lines", [

@@ -11,14 +11,12 @@ from eerk.dissipation import (
     classify_method,
     default_z_grid,
     differentiation_matrix,
-    differentiation_matrix_inverse_route,
-    doc_identity_residual,
     doc_kernels,
-    eerk32_abscissa_condition,
     leading_principal_minors,
     scan_method,
 )
 from eerk.tableaux import butcher_diff, get_method
+from oracles import differentiation_matrix_inverse_route, doc_identity_residual, eerk32_abscissa_condition
 
 Z_SET = np.array([-0.01, -0.1, -1.0, -10.0, -100.0])
 
@@ -119,6 +117,40 @@ def test_two_route_equality_all_methods():
         d1i = differentiation_matrix(t, Z_SET, variant="implicit")
         d2i = differentiation_matrix_inverse_route(t, Z_SET, variant="implicit")
         assert np.max(np.abs(d1i - d2i)) <= 1e-10, name
+
+
+def _symbolic_route(t, z, variant):
+    # D from the DOC kernels of the symbolic Butcher-Diff tableau
+    theta = doc_kernels(butcher_diff(t), z)
+    zz, s = z[:, None, None], t.stages
+    d = theta + zz * np.tri(s)
+    return d - (zz / 2.0) * np.eye(s) if variant == "standard" else d
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except SingularDiagonalError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["standard", "implicit"])
+def test_one_route_equals_symbolic_route_bit_for_bit(variant):
+    # D differences the evaluated A(z); the symbolic route evaluates the
+    # Butcher-Diff tableau on its own.  Sign bits included, they agree; where
+    # a diagonal vanishes (ho4 at -1e-300 and 0) both raise the same error.
+    grids = [default_z_grid(), -np.logspace(-8, 8, 2001)] + [np.array([z]) for z in (-6.9e6, -1e-300, 0.0)]
+    for name, params in CATALOG:
+        t = get_method(name, **params)
+        for grid in grids:
+            one = _outcome(differentiation_matrix, t, grid, variant)
+            other = _outcome(_symbolic_route, t, grid, variant)
+            if isinstance(one, str) or isinstance(other, str):
+                assert isinstance(one, str) and isinstance(other, str) and one == other, (name, grid)
+                continue
+            assert np.array_equal(one, other), (name, grid[0])
+            assert np.array_equal(np.signbit(one), np.signbit(other)), (name, grid[0])
 
 
 def test_lower_triangular_structure():

@@ -1,5 +1,7 @@
 """Tests for the EERK stage loop and stage-energy monitoring."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,29 @@ def test_monitoring_does_not_change_the_path(name, c2, tau):
     assert plain.margins is None and watched.margins.shape == (20, t.stages)
     assert np.array_equal(plain.final_state, watched.final_state)
     assert np.array_equal(plain.energies, watched.energies)
+
+
+@pytest.mark.parametrize("spec", [("eerk2w", {"c2": "3/11"}), ("eerk31", {"c2": "4/9"}), ("cm4", {})],
+                         ids=["eerk2w", "eerk31", "cm4"])
+def test_a_run_evaluates_its_coefficients_once(spec, monkeypatch):
+    # the monitor builds D(z) from the coefficients the stage loop already
+    # evaluated, so it makes no phi call of its own; eerk.phi on the package
+    # is the re-exported function, so patch the module
+    module = sys.modules["eerk.phi"]
+    calls = []
+
+    def counted(k, z):
+        calls.append(k)
+        return phi(k, z)
+
+    monkeypatch.setattr(module, "phi", counted)
+    p, t = cahn_hilliard(m=16), get_method(spec[0], **spec[1])
+    counts = []
+    for monitor in (False, True):
+        calls.clear()
+        integrate(p, t, 0.5 * np.sin(p.op.x), 0.1, 0.3, monitor=monitor)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1]
 
 
 def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):

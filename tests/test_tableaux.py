@@ -12,9 +12,8 @@ from eerk.tableaux import (
     coefficient_matrix,
     get_method,
     parse_method,
-    verify_order_conditions,
-    verify_row_sums,
 )
+from oracles import verify_order_conditions, verify_row_sums
 
 Z_SET = np.array([-1e-4, -0.1, -1.0, -10.0, -100.0, -1e4])
 
