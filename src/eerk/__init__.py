@@ -13,7 +13,8 @@ The package bundles:
   (:mod:`eerk.dissipation`),
 * a spectral 1-D Dirichlet Laplacian, diagonalised by the orthonormal
   DST-I, and the Cahn-Hilliard problem setup (:mod:`eerk.spatial`),
-* the generic stage loop with optional stage-energy-law monitoring
+* the generic stage loop with optional stage-energy-law monitoring, for
+  one tableau or an ensemble of tableaux advanced together
   (:mod:`eerk.integrator`),
 * benchmark drivers and a CSV-emitting command line front end
   (:mod:`eerk.bench`, :mod:`eerk.cli`).
@@ -28,7 +29,7 @@ from eerk.dissipation import (
     doc_kernels,
     leading_principal_minors,
 )
-from eerk.integrator import RunReport, integrate
+from eerk.integrator import Ensemble, EnsembleReport, RunReport, integrate
 from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, Var, evaluate, phi
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator, StabilizedSemilinear
 from eerk.tableaux import (
@@ -64,7 +65,9 @@ __all__ = [
     "StabilizedSemilinear",
     "Problem",
     "integrate",
+    "Ensemble",
     "RunReport",
+    "EnsembleReport",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from eerk.dissipation import (
     default_z_grid,
     scan_method,
 )
-from eerk.integrator import _step_count, integrate
+from eerk.integrator import Ensemble, _step_count, integrate
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator
 from eerk.tableaux import MethodError, parse_method
 
@@ -69,7 +69,14 @@ def write_csv(path, header, rows) -> Path:
     an existing directory; a failed write is a ``ConfigError``."""
     path = Path(path)
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    # a row of as many numbers as the header is one format; a row with an
+    # empty or text cell, or of another length, goes cell by cell
+    numeric = ",".join(["%.17g"] * len(header))
+    for row in rows:
+        try:
+            lines.append(numeric % tuple(row))
+        except TypeError:
+            lines.append(",".join(_fmt(v) for v in row))
     try:
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -319,6 +326,23 @@ def _regroup_method_specs(chunks) -> list:
 # --------------------------------------------------------------------------
 
 
+def _integrate_by_stages(problem, tableaux, u0, tau, t_final, monitor=False, hooks=None) -> list:
+    """The reports of ``tableaux``, in their order, from one ensemble run
+    per stage count; ``hooks`` holds each tableau's ``on_block``."""
+    hooks = hooks or [None] * len(tableaux)
+    groups = {}
+    for i, t in enumerate(tableaux):
+        groups.setdefault(t.stages, []).append(i)
+    reports = [None] * len(tableaux)
+    for members in groups.values():
+        ensemble = Ensemble(tableaux[i] for i in members)
+        run = integrate(problem, ensemble, u0, tau, t_final, monitor,
+                        on_block=[hooks[i] for i in members])
+        for i, report in zip(members, run):
+            reports[i] = report
+    return reports
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     tau: float
@@ -332,7 +356,8 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
     The reference run keeps its states at every ``g``-th step, ``g`` the
     gcd of the coarse strides, which covers every coarse time level; the
     error ``max_n max_j |u^n_j - u*(t_n)_j|`` of a coarse run is folded one
-    block of steps at a time, and its states are not kept.  The order
+    block of steps at a time, and its states are not kept.  The methods run
+    together at each coarse tau, one ensemble per stage count.  The order
     between consecutive step sizes is ``log(e_prev/e) / log(tau_prev/tau)``.
     Returns the rows and writes ``<label>_convergence.csv`` when an output
     directory is configured.
@@ -370,20 +395,26 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
             f"reference run {ref_tableau.label} at tau={ref_tau} diverged "
             f"at step {ref_report.diverged_step}")
 
+    def folder(errors, i, q):
+        def fold(n0, stages):
+            k = len(stages)
+            want = reference[(n0 + 1) * q - 1:(n0 + k) * q:q]
+            errors[i] = max(errors[i], float(np.max(np.abs(stages[:, -1] - want))))
+        return fold
+
+    # per tau, the report and the error of each method
+    runs = []
+    for tau, stride in zip(cfg.taus, strides):
+        errors = [0.0] * len(tableaux)
+        hooks = [folder(errors, i, stride // g) for i in range(len(tableaux))]
+        runs.append((_integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, hooks=hooks),
+                     errors))
+
     results = {}
-    for t in tableaux:
+    for i, t in enumerate(tableaux):
         rows = []
-        for tau, stride in zip(cfg.taus, strides):
-            q = stride // g
-            error = 0.0
-
-            def fold(n0, stages):
-                nonlocal error
-                k = len(stages)
-                want = reference[(n0 + 1) * q - 1:(n0 + k) * q:q]
-                error = max(error, float(np.max(np.abs(stages[:, -1] - want))))
-
-            report = integrate(problem, t, u0, tau, cfg.t_final, on_block=fold)
+        for tau, (reports, errors) in zip(cfg.taus, runs):
+            report, error = reports[i], errors[i]
             if report.diverged:
                 raise BenchDivergence(
                     f"{t.label} at tau={tau} diverged at step {report.diverged_step}")
@@ -402,15 +433,16 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
 
 def run_energy(cfg: ExperimentConfig):
     """Energy series (plus final state and optional stage margins) per
-    method at the first configured tau."""
+    method at the first configured tau; the methods run together, one
+    ensemble per stage count."""
     tableaux = cfg.tableaux()
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     tau = cfg.taus[0]
     _make_out_dir(cfg)
     reports = {}
-    for t in tableaux:
-        report = integrate(problem, t, u0, tau, cfg.t_final, monitor=cfg.monitor)
+    runs = _integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, cfg.monitor)
+    for t, report in zip(tableaux, runs):
         reports[t.label] = report
         if cfg.out is not None:
             slug = _slug(t.label)

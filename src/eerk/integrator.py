@@ -8,27 +8,38 @@ One step of an s-stage method applied to the stabilized problem
 
 for ``i = 1..s``, with ``b_i = 1 - tau*mu sum_j a_{i+1,j}`` and ``mu`` the
 eigenvalue map of the stiff operator.  ``b_i`` and ``tau a_{i+1,j}`` are
-evaluated once per eigenvalue and cached for the run as one ``(s, s+1, m)``
-array, so each stage is one contraction of its row with the terms
-``[U^1, g(U^1) .. g(U^s)]`` in sine coefficients.  The state is carried in
-sine coefficients from step to step: each stage transforms only its
-physical-space nonlinearity forward and its result back, so a step costs
-``2s`` sine transforms.  Each is ``op.forward`` done bit for bit in
-preallocated per-run buffers from ``op.odd_buffer`` and
-``op.spectrum_buffer``, through ``op.transform_odd``.
+evaluated once per eigenvalue and cached for the run, so each stage is one
+contraction of its row with the terms ``[U^1, g(U^1) .. g(U^s)]`` in sine
+coefficients.  The state is carried in sine coefficients from step to step:
+each stage transforms only its physical-space nonlinearity forward and its
+result back, so a step costs ``2s`` sine transforms.  Each is
+``op.forward`` done bit for bit in preallocated per-run buffers from
+``op.odd_buffer`` and ``op.spectrum_buffer``, through ``op.transform_odd``.
 
-The loop runs in blocks of up to 16 steps.  The steps of a block write their
-stages into one ``(16s+1, m)`` buffer and its sine-coefficient twin, each
-step starting from the row where the previous one ended.  Only then is the
-block checked and recorded, with one call for each job: the sup-norms of all
-stage rows, whose first non-finite value names the diverged step (the report
-stops before it, and the later steps of the block are dropped); the energies
-of the step ends, or of every stage when monitoring; and the margins.  A
-caller that needs more than the report (the convergence driver samples the
-step ends) passes ``on_block``, which then receives the finite steps of the
-block as one ``(k, s, m)`` view of the stage buffer.  A buffer holds at most
-2**16 values, so an s-stage method takes shorter blocks on meshes above
-``4096/s`` points.
+``integrate`` runs one tableau or an :class:`Ensemble` of B tableaux that
+share the problem, the initial state, tau and the stage count.  Every
+buffer carries a leading member axis: the coefficient cache is
+``(B, s, s+1, m)``, and each stage makes one nonlinearity call, one
+transform call each way and one contraction for all members.  A single
+tableau is the ensemble of one.  Every row of every buffer is computed
+exactly as in a run of its member alone, so each member's report is bit for
+bit that of its own run.
+
+The loop runs in blocks of steps: 16 member-steps (fewer on meshes above
+``4096/s`` points, so that a block holds at most 2**16 stage values) are
+shared among the B members, at least one step each.  The steps of a
+block write their stages into one ``(B, ks+1, m)`` buffer and its
+sine-coefficient twin, each step starting from the row where the previous
+one ended.  Only then is the block checked and recorded, with one call for
+each job: the sup-norms of all stage rows, whose first non-finite value in
+a member names its diverged step (its report stops before it, the later
+steps of its block are dropped, and the member leaves the ensemble while
+the others go on); the energies of the step ends, or of every stage when
+monitoring; and the margins, whose quadratic forms are contracted member
+by member.  A caller that needs more
+than the reports (the convergence driver samples the step ends) passes
+``on_block``, one hook per member, each of which then receives the finite
+steps of its member's block as one ``(k, s, m)`` view of the stage buffer.
 
 When monitoring is on, each step also records the slack ("margin") of the
 stage energy inequality
@@ -40,10 +51,10 @@ in the problem's metric (H^{-1} for Cahn-Hilliard, L^2 otherwise), where
 ``dU^{i+1} = U^{i+1} - U^i`` and ``d_{kl}`` is the differentiation matrix
 per eigenvalue, built from the same evaluated ``a_{i+1,j}`` as the
 coefficient cache.  Every term is diagonal in the sine basis, so the
-quadratic forms of a block are one contraction of a metric-weighted
-``(s, s, m)`` cache of ``d_{kl}`` with the coefficient increments, and a
-cumulative sum.  Nonnegative margins certify that the inequality held for
-that step.
+quadratic forms of a member's block are one contraction of its
+metric-weighted ``(s, s, m)`` cache of ``d_{kl}`` with the coefficient
+increments, and a cumulative sum.  Nonnegative margins certify that the
+inequality held for that step.
 """
 
 from __future__ import annotations
@@ -57,90 +68,131 @@ from eerk.dissipation import _from_coefficients
 from eerk.spatial import Problem
 from eerk.tableaux import Tableau, coefficient_matrix
 
-# steps per block, and stage values per block buffer (512 kB), so that a
-# large mesh does not pay for the batching in memory
+# member-steps per block, and stage values per block buffer (512 kB), so
+# that a large mesh or ensemble does not pay for the batching in memory
 _BLOCK_STEPS = 16
 _BLOCK_VALUES = 2**16
 # a margin is a difference of terms of size |E|; this many units of
 # roundoff of those terms is its floor
 _FLOOR_ULPS = 4
 
-__all__ = ["RunReport", "integrate"]
+__all__ = ["Ensemble", "EnsembleReport", "RunReport", "integrate"]
+
+
+class Ensemble(tuple):
+    """Tableaux that ``integrate`` advances together: at least one, all
+    with the same stage count."""
+
+    def __new__(cls, tableaux):
+        ensemble = super().__new__(cls, tableaux)
+        if not ensemble:
+            raise ValueError("an ensemble needs at least one tableau")
+        if len({t.stages for t in ensemble}) > 1:
+            raise ValueError("the tableaux of an ensemble must share a stage count, got "
+                             + ", ".join(f"{t.label} ({t.stages})" for t in ensemble))
+        return ensemble
+
+    @property
+    def stages(self) -> int:
+        return self[0].stages
 
 
 class _StepWorkspace:
-    """Folded spectral coefficient cache for a fixed (problem, tableau, tau),
-    and the stage buffers of one run with ``rows`` stage rows."""
+    """Folded spectral coefficient caches of an ensemble for a fixed
+    (problem, tau), and the stage buffers of its live members with
+    ``rows`` stage rows each."""
 
-    def __init__(self, problem: Problem, tableau: Tableau, tau: float, monitor: bool, rows: int):
+    def __init__(self, problem: Problem, ensemble: Ensemble, tau: float, monitor: bool, rows: int):
         if tau <= 0:
             raise ValueError(f"step size must be positive, got {tau}")
         self.problem = problem
         self.tau = float(tau)
+        self.n_rows = rows
         op = problem.op
-        m = op.m
+        m, s = op.m, ensemble.stages
         tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
-        s = tableau.stages
-        # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the one
-        # evaluation of the tableau in a run
-        a_z = coefficient_matrix(tableau, -tau_mu)
-        a = np.ascontiguousarray(np.moveaxis(a_z, 0, -1))
         # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s],
         # g_j = factor * DST(N(U^j)) with N the physical-space nonlinearity:
         # column 0 holds b_i, column j the folded tau a_{i+1,j} * factor
-        coeff = np.empty((s, s + 1, m))
-        coeff[:, 0] = 1.0 - tau_mu * a.sum(axis=1)
-        coeff[:, 1:] = self.tau * a * problem.nonlinearity_factor
+        self.coeff = np.empty((len(ensemble), s, s + 1, m))
+        self.dmats = np.empty((len(ensemble), s, s, m)) if monitor else None
+        weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
+        for b, tableau in enumerate(ensemble):
+            # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the one
+            # evaluation of the tableau in a run
+            a_z = coefficient_matrix(tableau, -tau_mu)
+            a = np.ascontiguousarray(np.moveaxis(a_z, 0, -1))
+            self.coeff[b, :, 0] = 1.0 - tau_mu * a.sum(axis=1)
+            self.coeff[b, :, 1:] = self.tau * a * problem.nonlinearity_factor
+            if monitor:
+                # d_{kl}(z), zero above the diagonal, times the metric weight
+                d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
+                self.dmats[b] = np.moveaxis(d, 0, -1) * weight
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """Stage buffers for the members of the coefficient cache."""
+        op = self.problem.op
+        members, s = self.coeff.shape[:2]
         # both transforms of a stage are op.forward done in run buffers: the
         # stage buffers hold the physical rows and the odd extensions of
         # their sine coefficients, and the nonlinearity of a stage is written
-        # into one more odd extension
-        self.u = np.empty((rows, m))
-        self.u_odd, self.u_hat, self.u_tail = op.odd_buffer((rows,))
-        self.n_odd, self.n_phys, self.n_tail = op.odd_buffer()
+        # into one more odd extension per member
+        self.u = np.empty((members, self.n_rows, op.m))
+        self.u_odd, self.u_hat, self.u_tail = op.odd_buffer((members, self.n_rows))
+        self.n_odd, self.n_phys, self.n_tail = op.odd_buffer((members,))
         # spectrum row j >= 1 holds the transform of N(U^j), and the
         # coefficient view of row 0 holds U_hat^1, so the terms are one view
-        spectra, self.terms = op.spectrum_buffer((s + 1,))
+        spectra, self.terms = op.spectrum_buffer((members, s + 1))
         # stage i+1 reads only the terms already formed
-        self.rows = [(coeff[i, :i + 2], self.terms[:i + 2], spectra[i + 1]) for i in range(s)]
-        self.back, self.back_coeffs = op.spectrum_buffer()
-        self.dmats = None
-        if monitor:
-            # d_{kl}(z), zero above the diagonal, times the metric weight
-            d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
-            weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
-            self.dmats = np.ascontiguousarray(np.moveaxis(d, 0, -1) * weight)
+        self.rows = [(self.coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1])
+                     for i in range(s)]
+        self.back, self.back_coeffs = op.spectrum_buffer((members,))
+
+    def retain(self, keep: list) -> None:
+        """Drop every member but those at the indices ``keep``, whose
+        row 0 carries over."""
+        start, start_hat = self.u[keep, 0], self.u_hat[keep, 0]
+        self.coeff = self.coeff[keep]
+        if self.dmats is not None:
+            self.dmats = self.dmats[keep]
+        self._allocate()
+        self.u[:, 0], self.u_hat[:, 0] = start, start_hat
 
     def advance(self, r: int) -> None:
         """Fill rows ``r+1..r+s`` of the stage buffers ``u`` and ``u_hat``
-        with the stages of the step from row ``r``.  No row is checked for
-        divergence; the caller does that and guards against overflow
-        warnings."""
+        with the stages of the step from row ``r``, for every member.  No
+        row is checked for divergence; the caller does that and guards
+        against overflow warnings."""
         u, u_hat, u_odd, u_tail = self.u, self.u_hat, self.u_odd, self.u_tail
         n_odd, n_phys, n_tail = self.n_odd, self.n_phys, self.n_tail
         nonlinearity, transform = self.problem.nonlinearity, self.problem.op.transform_odd
         back, back_coeffs = self.back, self.back_coeffs
-        self.terms[0] = u_hat[r]
+        self.terms[:, 0] = u_hat[:, r]
         for i, (row, terms, spectrum) in enumerate(self.rows, start=r):
-            nonlinearity(u[i], out=n_phys)
+            nonlinearity(u[:, i], out=n_phys)
             np.negative(n_phys, out=n_tail)
             transform(n_odd, spectrum)
-            np.einsum("jm,jm->m", row, terms, out=u_hat[i + 1])
-            np.negative(u_hat[i + 1], out=u_tail[i + 1])
-            transform(u_odd[i + 1], back)
-            np.copyto(u[i + 1], back_coeffs)
+            np.einsum("bjm,bjm->bm", row, terms, out=u_hat[:, i + 1])
+            np.negative(u_hat[:, i + 1], out=u_tail[:, i + 1])
+            transform(u_odd[:, i + 1], back)
+            np.copyto(u[:, i + 1], back_coeffs)
 
-    def margins(self, u_hat: np.ndarray, energies: np.ndarray, start: np.ndarray) -> tuple:
-        """Margins, shape ``(k, s)``, of ``k`` consecutive steps from their
-        ``k*s + 1`` stage coefficient rows, their stage energies
-        ``E[U^{j+1}]``, shape ``(k, s)``, and their start energies
-        ``E[U^1]``, shape ``(k,)``; and the rounding floor of each margin,
-        a few ulps of the terms it subtracts."""
-        k, s = energies.shape
-        delta_hats = np.diff(u_hat, axis=0).reshape(k, s, -1)
-        quad = np.einsum("klm,nkm,nlm->nk", self.dmats, delta_hats, delta_hats)
-        drop = np.cumsum(quad, axis=1) / self.tau
-        start = start[:, None]
+    def margins(self, energies: np.ndarray, start: np.ndarray) -> tuple:
+        """Margins, shape ``(B, k, s)``, of the first ``k`` steps of a block
+        of each live member, from their stage energies ``E[U^{j+1}]``,
+        shape ``(B, k, s)``, and their start energies ``E[U^1]``, shape
+        ``(B, k)``; and the rounding floor of each margin, a few ulps of
+        the terms it subtracts."""
+        members, k, s = energies.shape
+        delta_hats = np.diff(self.u_hat[:, :k * s + 1], axis=1).reshape(members, k, s, -1)
+        # each member's quadratic forms in one contraction over its
+        # contiguous m axis, so that they are those of its own run
+        quad = np.empty((members, k, s))
+        for dmats, dh, out in zip(self.dmats, delta_hats, quad):
+            np.einsum("klm,nkm,nlm->nk", dmats, dh, dh, out=out)
+        drop = np.cumsum(quad, axis=2) / self.tau
+        start = start[..., None]
         floors = _FLOOR_ULPS * np.finfo(float).eps * (np.abs(energies) + np.abs(start) + np.abs(drop))
         return -drop - (energies - start), floors
 
@@ -178,6 +230,45 @@ class RunReport:
         return "violated"
 
 
+class EnsembleReport(tuple):
+    """The reports of an ensemble's members, in its order."""
+
+    @property
+    def n_steps(self) -> int:
+        """Member steps taken, summed over the members."""
+        return sum(report.n_steps for report in self)
+
+    @property
+    def diverged(self) -> bool:
+        return any(report.diverged for report in self)
+
+
+class _Series:
+    """What a member's report gathers, block by block."""
+
+    def __init__(self, tableau: Tableau, hook, energy0: np.ndarray, sup0: np.ndarray):
+        self.tableau, self.hook = tableau, hook
+        self.energies, self.sup_norms = [energy0], [sup0]
+        self.margins, self.floors = [], []
+        self.final_state = None
+        self.diverged_step = None
+
+    def report(self, tau: float) -> RunReport:
+        energies = np.concatenate(self.energies)
+        return RunReport(
+            method=self.tableau.label,
+            tau=tau,
+            times=tau * np.arange(len(energies)),
+            energies=energies,
+            sup_norms=np.concatenate(self.sup_norms),
+            final_state=self.final_state,
+            margins=np.concatenate(self.margins) if self.margins else None,
+            margin_floors=np.concatenate(self.floors) if self.floors else None,
+            diverged=self.diverged_step is not None,
+            diverged_step=self.diverged_step,
+        )
+
+
 def _step_count(t_final: float, tau: float) -> int:
     ratio = t_final / tau
     n = round(ratio)
@@ -186,29 +277,43 @@ def _step_count(t_final: float, tau: float) -> int:
     return int(n)
 
 
-def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float,
-              monitor: bool = False, *, on_block=None) -> RunReport:
+def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
+              monitor: bool = False, *, on_block=None):
     """Run ``t_final / tau`` steps from ``u0``; ``t_final = 0`` gives the
     report of the initial state alone.  On divergence the report is
     truncated at the last finite step and flagged.
+
+    ``tableau`` is one :class:`Tableau`, which gives one :class:`RunReport`,
+    or a sequence of them sharing a stage count (see :class:`Ensemble`),
+    which gives an :class:`EnsembleReport` whose reports equal those of the
+    members' own runs.
 
     ``on_block(n0, stages)``, if given, is called after each checked block
     of steps ``n0+1 .. n0+k`` with the ``(k, s, m)`` view ``stages`` of
     their stages ``U^2 .. U^{s+1}``, so ``stages[j, -1]`` ends step
     ``n0+j+1``.  The view is valid only during the call.  Diverged steps
-    are never handed over.
+    are never handed over.  An ensemble takes one such hook (or None) per
+    member.
     """
+    single = isinstance(tableau, Tableau)
+    ensemble = Ensemble([tableau] if single else tableau)
+    if single:
+        hooks = [on_block]
+    else:
+        hooks = [None] * len(ensemble) if on_block is None else list(on_block)
+    if len(hooks) != len(ensemble):
+        raise ValueError(f"{len(ensemble)} members need as many on_block hooks, got {len(hooks)}")
     n_steps = 0 if t_final == 0 else _step_count(t_final, tau)
-    s, m = tableau.stages, problem.op.m
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)))
-    ws = _StepWorkspace(problem, tableau, tau, monitor, block * s + 1)
+    s, m = ensemble.stages, problem.op.m
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)) // len(ensemble))
+    ws = _StepWorkspace(problem, ensemble, tau, monitor, block * s + 1)
     u, u_hat = ws.u, ws.u_hat
-    u[0] = u0
-    u_hat[0] = problem.op.forward(u[0])
-    energies = [problem.energy(u[:1], u_hat[:1])]
-    sup_norms = [np.max(np.abs(u[:1]), axis=1)]
-    margins, floors = [], []
-    diverged_step = None
+    u[:, 0] = u0
+    u_hat[:, 0] = problem.op.forward(u[0, 0])
+    energy0 = problem.energy(u[0, :1], u_hat[0, :1])
+    sup0 = np.max(np.abs(u[0, :1]), axis=1)
+    series = [_Series(t, hook, energy0, sup0) for t, hook in zip(ensemble, hooks)]
+    live = list(series)
     # overflow in a blowing-up nonlinearity is handled via the divergence
     # check, not floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,38 +322,45 @@ def integrate(problem: Problem, tableau: Tableau, u0, tau: float, t_final: float
             for r in range(0, k * s, s):
                 ws.advance(r)
             # the sup-norm of a row is finite only if the whole row is
-            sup = np.max(np.abs(u[1:k * s + 1]), axis=1)
-            bad = np.flatnonzero(~np.isfinite(sup))
-            if bad.size:
-                k = int(bad[0]) // s
-                diverged_step = n0 + k + 1
-            if k:
+            stage_rows = slice(1, k * s + 1)
+            sup = np.max(np.abs(u[:, stage_rows]), axis=2)
+            if monitor:
+                stage_energies = problem.energy(u[:, stage_rows], u_hat[:, stage_rows])
+                stage_energies = stage_energies.reshape(len(live), k, s)
+                last = np.array([member.energies[-1][-1] for member in live])
+                starts = np.concatenate((last[:, None], stage_energies[:, :-1, -1]), axis=1)
+                margins, floors = ws.margins(stage_energies, starts)
+                end_energies = stage_energies[:, :, -1]
+            else:
                 ends = slice(s, k * s + 1, s)
-                sup_norms.append(sup[s - 1:k * s:s])
-                if monitor:
-                    stage_energies = problem.energy(u[1:k * s + 1], u_hat[1:k * s + 1]).reshape(k, s)
-                    starts = np.concatenate((energies[-1][-1:], stage_energies[:-1, -1]))
-                    block_margins, block_floors = ws.margins(u_hat[:k * s + 1], stage_energies, starts)
-                    margins.append(block_margins)
-                    floors.append(block_floors)
-                    energies.append(stage_energies[:, -1])
+                end_energies = problem.energy(u[:, ends], u_hat[:, ends])
+            keep = []
+            for b, member in enumerate(live):
+                bad = np.flatnonzero(~np.isfinite(sup[b]))
+                kb = k
+                if bad.size:
+                    kb = int(bad[0]) // s
+                    member.diverged_step = n0 + kb + 1
+                    member.final_state = u[b, kb * s].copy()
                 else:
-                    energies.append(problem.energy(u[ends], u_hat[ends]))
-                if on_block is not None:
-                    on_block(n0, u[1:k * s + 1].reshape(k, s, m))
-                u[0], u_hat[0] = u[k * s], u_hat[k * s]
-            if diverged_step is not None:
-                break
-    energies = np.concatenate(energies)
-    return RunReport(
-        method=tableau.label,
-        tau=tau,
-        times=tau * np.arange(len(energies)),
-        energies=energies,
-        sup_norms=np.concatenate(sup_norms),
-        final_state=u[0].copy(),
-        margins=np.concatenate(margins) if margins else None,
-        margin_floors=np.concatenate(floors) if floors else None,
-        diverged=diverged_step is not None,
-        diverged_step=diverged_step,
-    )
+                    keep.append(b)
+                if not kb:
+                    continue
+                member.sup_norms.append(sup[b, s - 1:kb * s:s])
+                member.energies.append(end_energies[b, :kb])
+                if monitor:
+                    member.margins.append(margins[b, :kb])
+                    member.floors.append(floors[b, :kb])
+                if member.hook is not None:
+                    member.hook(n0, u[b, 1:kb * s + 1].reshape(kb, s, m))
+            u[:, 0], u_hat[:, 0] = u[:, k * s], u_hat[:, k * s]
+            if len(keep) < len(live):
+                live = [live[b] for b in keep]
+                if not live:
+                    break
+                ws.retain(keep)
+                u, u_hat = ws.u, ws.u_hat
+    for b, member in enumerate(live):
+        member.final_state = u[b, 0].copy()
+    reports = [member.report(tau) for member in series]
+    return reports[0] if single else EnsembleReport(reports)

@@ -134,6 +134,18 @@ def test_write_csv_is_deterministic(tmp_path):
     assert text[1] == "0.10000000000000001,0.33333333333333331,"
 
 
+def test_write_csv_rows_match_per_cell_format(tmp_path):
+    # whole numeric rows take one format; the bytes are those of one
+    # 17-digit format per cell, empty for None, text as it is
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.8e308, 2**60, 7]
+    rows = ([(a, np.float64(b), c) for a, b, c in zip(special, special[1:] + special[:1], special[2:] * 2)]
+            + [(None, 0.5, "x"), ("y", None, -0.0), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    text = write_csv(tmp_path / "a.csv", ["a", "b", "c"], rows).read_text()
+    want = ["a,b,c"] + [",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}"
+                                 for v in row) for row in rows]
+    assert text == "\n".join(want) + "\n"
+
+
 # --------------------------------------------------------------------------
 # Drivers (small meshes for speed)
 # --------------------------------------------------------------------------
@@ -206,6 +218,17 @@ def test_run_convergence_divergent_reference_aborts():
     cfg = small_cfg(kappa=0.0, taus=[5.0], t_final=100.0,
                     ref_method="eerk2:c2=1", ref_tau=5.0, ic="bumps")
     with pytest.raises(BenchDivergence):
+        run_convergence(cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_convergence_divergent_coarse_run_aborts():
+    # the methods of a tau run together; of the two that diverge at tau=1
+    # (at steps 12 and 5), the error names the first in the configured order
+    cfg = small_cfg(methods=["eerk2w:c2=1", "eerk2w:c2=1/2", "eerk2w:c2=1/10"], m=63,
+                    eps=0.2, kappa=0.1, ic="bumps", taus=[1.0, 0.5], t_final=40.0,
+                    ref_method="eerk2w:c2=1", ref_tau=0.25)
+    with pytest.raises(BenchDivergence, match=r"^eerk2w:c2=1/2 at tau=1.0 diverged at step 12$"):
         run_convergence(cfg)
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from eerk.dissipation import differentiation_matrix
-from eerk.integrator import integrate
+from eerk.integrator import Ensemble, EnsembleReport, integrate
 from eerk.phi import evaluate, phi
+from eerk.bench import initial_profile
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear
 from eerk.tableaux import get_method
 from oracles import apply, apply_stencil, apply_values, build_laplacian_1d, g_stabilized, inner
@@ -401,3 +402,95 @@ def test_divergence_mid_block_matches_per_step_loop(c, amplitude, failing, monit
         np.testing.assert_allclose(rep.margins, margins, rtol=1e-11, atol=0)
     else:
         assert rep.margins is None
+
+
+REPORT_ARRAYS = ("times", "energies", "sup_norms", "final_state", "margins", "margin_floors")
+
+
+def assert_same_report(got, want):
+    # byte for byte: nan, inf and the sign of zero included
+    assert (got.method, got.tau, got.diverged, got.diverged_step) == (
+        want.method, want.tau, want.diverged, want.diverged_step)
+    for name in REPORT_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+ENSEMBLES = {
+    "eerk2w": [get_method("eerk2w", c2=c) for c in ("3/11", "1/2", "3/4", "1")],
+    "eerk31": [get_method("eerk31", c2=c) for c in ("4/9", "1/2", "2/3", "1")],
+    "cm4": [get_method(name) for name in ("cm4", "krogstad4", "sw4")],
+}
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+@pytest.mark.parametrize("family", list(ENSEMBLES))
+def test_ensemble_members_equal_their_own_runs(family, monitor):
+    # the members share the 16 member-steps of a block (at m=639 the value
+    # cap does not bind), so 4 members take blocks of 4 steps and 3 of 5;
+    # horizons on both sides of one and two such blocks, against runs of
+    # each member alone, which take blocks of 16
+    p = cahn_hilliard(m=639)
+    u0 = initial_profile("bumps", p.op.x)
+    tableaux, tau = ENSEMBLES[family], 0.1
+    block = 16 // len(tableaux)
+    for n in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
+        hooks = [Blocks() for _ in tableaux]
+        ensemble = Ensemble(tableaux)
+        reports = integrate(p, ensemble, u0, tau, n * tau, monitor, on_block=hooks)
+        assert isinstance(reports, EnsembleReport) and len(reports) == len(tableaux)
+        assert ensemble.stages == tableaux[0].stages
+        assert reports.n_steps == n * len(tableaux) and not reports.diverged
+        assert hooks[0][0][1].shape == (min(n, block), ensemble.stages, p.op.m)
+        for t, report, blocks in zip(tableaux, reports, hooks):
+            alone = Blocks()
+            assert_same_report(report, integrate(p, t, u0, tau, n * tau, monitor, on_block=alone))
+            assert np.array_equal(blocks.steps(), alone.steps())
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+def test_ensemble_of_one_is_the_single_run(monitor):
+    p = cahn_hilliard(m=639)
+    u0 = initial_profile("bumps", p.op.x)
+    t = get_method("eerk31", c2="4/9")
+    single, one = Blocks(), Blocks()
+    want = integrate(p, t, u0, 0.1, 3.3, monitor, on_block=single)
+    (got,) = integrate(p, [t], u0, 0.1, 3.3, monitor, on_block=[one])
+    assert_same_report(got, want)
+    assert [n0 for n0, _ in one] == [n0 for n0, _ in single] == [0, 16, 32]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(one, single))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+def test_diverged_members_leave_the_ensemble(monitor):
+    # alone, eerk2w with these abscissas diverges at steps 5, 6 and 12 and
+    # not at all; together, each is reported at its own step and the
+    # others go on
+    op = build_laplacian_1d(2 * np.pi, 63)
+    p = Problem(op, CahnHilliard(eps=0.2, kappa=0.1))
+    u0 = initial_profile("bumps", op.x)
+    tableaux = [get_method("eerk2w", c2=c) for c in ("1/10", "3/11", "1/2", "1")]
+    hooks = [Blocks() for _ in tableaux]
+    reports = integrate(p, tableaux, u0, 1.0, 40.0, monitor, on_block=hooks)
+    assert [r.diverged_step for r in reports] == [5, 6, 12, None]
+    assert reports.diverged and reports.n_steps == 4 + 5 + 11 + 40
+    for t, report, blocks in zip(tableaux, reports, hooks):
+        alone = Blocks()
+        assert_same_report(report, integrate(p, t, u0, 1.0, 40.0, monitor, on_block=alone))
+        assert np.array_equal(blocks.steps(), alone.steps())
+
+
+def test_ensemble_rejects_empty_and_mixed_stage_counts():
+    p = cahn_hilliard(m=24)
+    u0 = 0.3 * np.sin(p.op.x)
+    two, three = get_method("eerk2w", c2="1/2"), get_method("eerk31", c2="4/9")
+    for tableaux in ([], [two, three], [three, two, three]):
+        with pytest.raises(ValueError):
+            Ensemble(tableaux)
+        with pytest.raises(ValueError):
+            integrate(p, tableaux, u0, 0.1, 0.2)
+    with pytest.raises(ValueError):
+        integrate(p, [two, two], u0, 0.1, 0.2, on_block=[Blocks()])
