@@ -4,13 +4,14 @@ The package bundles:
 
 * numerically stable phi-function evaluation and symbolic tableau
   coefficients (:mod:`eerk.phi`),
-* a catalog of EERK Butcher tableaux with parameterized abscissas, their
-  evaluation ``A(z)`` and their symbolic Butcher-Diff form
+* a catalog of EERK Butcher tableaux with parameterized abscissas, one
+  table of names, builders and descriptions, the evaluation ``A(z)`` that
+  every run-time path uses, and the symbolic Butcher-Diff form
   (:mod:`eerk.tableaux`),
 * the energy-dissipation machinery: discrete orthogonal convolution
-  kernels, differentiation matrices built from the evaluated ``A(z)``,
-  leading-principal-minor classification and average dissipation rates
-  (:mod:`eerk.dissipation`),
+  kernels, and differentiation matrices, leading-principal-minor
+  classification and average dissipation rates, all read from the
+  evaluated ``A(z)`` (:mod:`eerk.dissipation`),
 * a spectral 1-D Dirichlet Laplacian, diagonalised by the orthonormal
   DST-I, and the Cahn-Hilliard problem setup (:mod:`eerk.spatial`),
 * the generic stage loop with optional stage-energy-law monitoring, for
@@ -30,7 +31,7 @@ from eerk.dissipation import (
     leading_principal_minors,
 )
 from eerk.integrator import Ensemble, EnsembleReport, RunReport, integrate
-from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, Var, evaluate, phi
+from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, evaluate, phi
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator, StabilizedSemilinear
 from eerk.tableaux import (
     Tableau,
@@ -43,7 +44,6 @@ __all__ = [
     "phi",
     "evaluate",
     "Const",
-    "Var",
     "Phi",
     "Sum",
     "Product",

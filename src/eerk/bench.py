@@ -189,8 +189,10 @@ class ExperimentConfig:
         return parse_z_grid(self.grid)
 
     def resolve_reference(self) -> tuple:
-        """Reference method/step for convergence runs; defaults to the
-        smallest admissible abscissa of the matching family at tau_0/32."""
+        """Reference method/step for convergence runs; defaults to a
+        PSD-on-grid member of the matching family at tau_0/32:
+        ``eerk31:c2=4/9`` (its threshold) or ``eerk2w:c2=3/11`` (above its
+        threshold, which lies between 2553/10000 and 2554/10000)."""
         spec = self.ref_method
         if spec is None:
             first = self.methods[0].split(":")[0] if self.methods else ""
@@ -350,7 +352,7 @@ class ConvergenceRow:
     order: Optional[float]
 
 
-def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
+def run_convergence(cfg: ExperimentConfig):
     """Errors against a fine reference run over a schedule of step sizes.
 
     The reference run keeps its states at every ``g``-th step, ``g`` the
@@ -358,11 +360,12 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
     error ``max_n max_j |u^n_j - u*(t_n)_j|`` of a coarse run is folded one
     block of steps at a time, and its states are not kept.  The methods run
     together at each coarse tau, one ensemble per stage count.  The order
-    between consecutive step sizes is ``log(e_prev/e) / log(tau_prev/tau)``.
+    between consecutive step sizes is ``log(e_prev/e) / log(tau_prev/tau)``,
+    undefined (``None``) in the first row and next to an error of exactly 0.
     Returns the rows and writes ``<label>_convergence.csv`` when an output
     directory is configured.
     """
-    tableaux = cfg.tableaux() if method_spec is None else [parse_method(method_spec)]
+    tableaux = cfg.tableaux()
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     ref_tableau, ref_tau = cfg.resolve_reference()
@@ -419,7 +422,7 @@ def run_convergence(cfg: ExperimentConfig, method_spec: Optional[str] = None):
                 raise BenchDivergence(
                     f"{t.label} at tau={tau} diverged at step {report.diverged_step}")
             order = None
-            if rows:
+            if rows and rows[-1].error > 0 and error > 0:
                 prev = rows[-1]
                 order = math.log2(prev.error / error) / math.log2(prev.tau / tau)
             rows.append(ConvergenceRow(tau, error, order))
@@ -467,8 +470,7 @@ def run_analysis(cfg: ExperimentConfig):
     results = {}
     summary_rows = []
     for t in tableaux:
-        verdict = classify_method(t, z_grid=None if cfg.grid == "default" else grid,
-                                  variant=variant)
+        verdict = classify_method(t, z_grid=grid, variant=variant)
         results[t.label] = verdict
         w = verdict.witness
         summary_rows.append((t.label, verdict.verdict,

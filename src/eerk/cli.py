@@ -29,26 +29,10 @@ from eerk.bench import (
     run_rate,
 )
 from eerk.dissipation import SingularDiagonalError
-from eerk.tableaux import METHOD_PARAMS, MethodError
+from eerk.tableaux import MethodError, catalog
 
 _EXIT_CONFIG = 2
 _EXIT_DIVERGENCE = 3
-
-_DESCRIPTIONS = {
-    "etd1": "exponential forward Euler (1 stage)",
-    "eerk2": "second-order family; c2=1 is ETD2RK (Cox & Matthews)",
-    "eerk2w": "weak second-order family",
-    "eerk2s": "3-stage second-order method (Strehmel & Weiner)",
-    "eerk31": "third-order family, c3 fixed at 2/3 (Hochbruck & Ostermann)",
-    "eerk32": "two-parameter third-order family (Hochbruck & Ostermann)",
-    "etd3rk": "3-stage method of Cox & Matthews",
-    "etd2cf3": "commutator-free CF3 variant (Celledoni et al.)",
-    "cm4": "exponential classical RK4 (Cox & Matthews)",
-    "krogstad4": "fourth-order method of Krogstad",
-    "sw4": "fourth-order method of Strehmel & Weiner",
-    "ho4": "5-stage stiff-order-4 method (Hochbruck & Ostermann)",
-}
-
 
 def _add_common(sub, *, methods=True):
     if methods:
@@ -112,10 +96,9 @@ def _overrides(args) -> dict:
 
 
 def _cmd_catalog(_args) -> int:
-    for name in sorted(METHOD_PARAMS):
-        params = METHOD_PARAMS[name]
+    for name, params, text in catalog():
         sig = name if not params else f"{name}:{','.join(p + '=...' for p in params)}"
-        print(f"{sig:24s} {_DESCRIPTIONS[name]}")
+        print(f"{sig:24s} {text}")
     return 0
 
 

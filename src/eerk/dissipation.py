@@ -21,7 +21,8 @@ loop and ``D(z)``.
 
 The scalar ``trace(D)/s`` is the *average dissipation rate* R(z): values
 near 1 mean the discrete energy decays at about the continuous rate, larger
-values mean a time-"ahead" effect.
+values mean a time-"ahead" effect.  It reads the diagonal of the same
+evaluated ``A(z)``, since ``abar`` and ``A`` share their diagonal.
 
 Classification scans a grid of ``z <= 0``: a method is ``PSD-on-grid`` when
 every leading principal minor of ``S`` is nonnegative (up to a
@@ -36,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from eerk.phi import evaluate
 from eerk.tableaux import Tableau, coefficient_matrix
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 VARIANTS = ("standard", "implicit")
+_TOL = 1e-9
 
 
 class SingularDiagonalError(ArithmeticError):
@@ -138,6 +139,18 @@ def leading_principal_minors(d: np.ndarray) -> np.ndarray:
     return minors
 
 
+def _rate_from_coefficients(a: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
+    """``R(z)``, shape ``(n,)``, from the evaluated ``A(z)``, shape
+    ``(n, s, s)``, at the ``(n,)`` points ``z``."""
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    _first_zero(diag, z, label)
+    inv_sum = np.zeros_like(z)
+    for i in range(diag.shape[-1]):
+        inv_sum += 1.0 / diag[..., i]
+    shift = 0.5 if variant == "standard" else 1.0
+    return shift * z + inv_sum / diag.shape[-1]
+
+
 def average_dissipation_rate(t: Tableau, z, variant: str = "standard"):
     """``R(z) = z/2 + mean_i 1/a_{i+1,i}(z)`` (or ``z + mean`` implicit).
 
@@ -147,13 +160,7 @@ def average_dissipation_rate(t: Tableau, z, variant: str = "standard"):
     _check_variant(variant)
     scalar = np.isscalar(z)
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    diag = [np.broadcast_to(evaluate(row[i], zarr), zarr.shape) for i, row in enumerate(t.rows)]
-    _first_zero(np.stack(diag, axis=-1), zarr, t.label)
-    inv_sum = np.zeros_like(zarr)
-    for d in diag:
-        inv_sum += 1.0 / d
-    shift = 0.5 if variant == "standard" else 1.0
-    rate = shift * zarr + inv_sum / t.stages
+    rate = _rate_from_coefficients(coefficient_matrix(t, zarr), zarr, variant, t.label)
     return float(rate[0]) if scalar else rate
 
 
@@ -182,9 +189,9 @@ class Classification:
         return self.verdict == "PSD-on-grid"
 
 
-def _violations(t: Tableau, grid: np.ndarray, tol: float, variant: str) -> tuple:
+def _violations(t: Tableau, grid: np.ndarray, variant: str) -> tuple:
     """Leading principal minors of ``S(D; z)`` on the grid, shape ``(n, s)``,
-    and where minor ``j`` falls below ``-tol * max(1, max_k |S_kk|)^j``.
+    and where minor ``j`` falls below ``-_TOL * max(1, max_k |S_kk|)^j``.
 
     Raises :class:`SingularDiagonalError` at the first ``z`` where a minor is
     not finite: there ``D`` has left the float64 range.
@@ -194,7 +201,7 @@ def _violations(t: Tableau, grid: np.ndarray, tol: float, variant: str) -> tuple
         minors = leading_principal_minors(d)
         # S and D share their diagonal
         scale = np.maximum(1.0, np.max(np.abs(np.diagonal(d, axis1=-2, axis2=-1)), axis=-1))
-        below = minors < -tol * scale[:, None] ** np.arange(1, t.stages + 1)
+        below = minors < -_TOL * scale[:, None] ** np.arange(1, t.stages + 1)
     finite = np.all(np.isfinite(minors), axis=-1)
     if not np.all(finite):
         z = grid[np.argmin(finite)]
@@ -202,12 +209,11 @@ def _violations(t: Tableau, grid: np.ndarray, tol: float, variant: str) -> tuple
     return minors, below
 
 
-def classify_method(t: Tableau, z_grid=None, tol: float = 1e-9,
-                    variant: str = "standard") -> Classification:
+def classify_method(t: Tableau, z_grid=None, variant: str = "standard") -> Classification:
     """Scan the grid for negative leading principal minors of ``S(D; z)``.
 
     The tolerance scales with the matrix magnitude: minor ``j`` must stay
-    above ``-tol * max(1, max_k |S_kk|)^j``.  On failure the witness is the
+    above ``-_TOL * max(1, max_k |S_kk|)^j``.  On failure the witness is the
     smallest-|z| violating grid point, sharpened by 20 bisection steps
     toward the adjacent passing point.
     """
@@ -218,7 +224,7 @@ def classify_method(t: Tableau, z_grid=None, tol: float = 1e-9,
     if np.any(grid > 0.0):
         raise ValueError("classification grid must satisfy z <= 0")
 
-    violating = np.any(_violations(t, grid, tol, variant)[1], axis=-1)
+    violating = np.any(_violations(t, grid, variant)[1], axis=-1)
     if not np.any(violating):
         return Classification("PSD-on-grid", None)
 
@@ -228,20 +234,21 @@ def classify_method(t: Tableau, z_grid=None, tol: float = 1e-9,
         z_pass = float(grid[idx + 1])
         for _ in range(20):
             mid = 0.5 * (z_fail + z_pass)
-            if np.any(_violations(t, np.array([mid]), tol, variant)[1]):
+            if np.any(_violations(t, np.array([mid]), variant)[1]):
                 z_fail = mid
             else:
                 z_pass = mid
-    minors, below = _violations(t, np.array([z_fail]), tol, variant)
+    minors, below = _violations(t, np.array([z_fail]), variant)
     j = int(np.argmax(below[0]))  # the first violating minor
     return Classification("NPD", Witness(z_fail, j + 1, float(minors[0, j])))
 
 
 def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):
     """Rates and minors over a grid: ``(z, rate, minors)`` arrays with
-    shapes ``(n,)``, ``(n,)``, ``(n, s)`` (one CSV row per grid point)."""
+    shapes ``(n,)``, ``(n,)``, ``(n, s)`` (one CSV row per grid point),
+    all from one evaluation of ``A(z)``."""
+    _check_variant(variant)
     grid = default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    d = differentiation_matrix(t, grid, variant)
-    minors = leading_principal_minors(d)
-    rate = average_dissipation_rate(t, grid, variant)
-    return grid, rate, minors
+    a = coefficient_matrix(t, grid)
+    minors = leading_principal_minors(_from_coefficients(a, grid, variant, t.label))
+    return grid, _rate_from_coefficients(a, grid, variant, t.label), minors

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "phi",
     "Const",
-    "Var",
     "Phi",
     "Sum",
     "Product",
@@ -104,11 +103,6 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Var:
-    """The spectral variable ``z`` itself."""
-
-
-@dataclass(frozen=True)
 class Phi:
     """``phi_order(scale * z)``; ``scale`` is an abscissa in ``(0, 1]``."""
 
@@ -131,7 +125,7 @@ class Negate:
     child: "PhiExpr"
 
 
-PhiExpr = Union[Const, Var, Phi, Sum, Product, Negate]
+PhiExpr = Union[Const, Phi, Sum, Product, Negate]
 
 
 def evaluate(expr: PhiExpr, z) -> Union[float, np.ndarray]:
@@ -143,8 +137,6 @@ def evaluate(expr: PhiExpr, z) -> Union[float, np.ndarray]:
     """
     if isinstance(expr, Const):
         return float(expr.value)
-    if isinstance(expr, Var):
-        return z if np.isscalar(z) else np.asarray(z, dtype=float)
     if isinstance(expr, Phi):
         return phi(expr.order, float(expr.scale) * z)
     if isinstance(expr, Sum):

@@ -6,27 +6,18 @@ tree, with the weight row ``b_j = a_{s+1,j}`` stored as the last row of
 ``A`` so downstream analysis needs no special casing.  Abscissas and
 rational coefficients are exact :class:`~fractions.Fraction` values.
 
-Catalog (CLI spelling in parentheses):
-
-========  =====================================================
-etd1      exponential forward Euler
-eerk2     one-parameter second-order family; ``c2 = 1`` is the
-          ETD2RK method of Cox & Matthews (2002)
-eerk2w    weak one-parameter variant of eerk2
-eerk2s    three-stage second-order method of Strehmel & Weiner (1992)
-eerk31    one-parameter third-order family (Hochbruck & Ostermann 2005)
-eerk32    two-parameter third-order family (Hochbruck & Ostermann 2005)
-etd3rk    three-stage method of Cox & Matthews (2002)
-etd2cf3   commutator-free CF3 variant (Celledoni, Marthinsen & Owren 2003)
-cm4       exponential classical RK4 (Cox & Matthews 2002)
-krogstad4 Krogstad (2005)
-sw4       Strehmel & Weiner (1992)
-ho4       five-stage stiff-order-four method (Hochbruck & Ostermann 2005)
-========  =====================================================
+The catalog is one table, ``_CATALOG``: each name maps to its builder,
+whose parameters are the abscissas the method takes, and to the one-line
+description ``eerk catalog`` prints.  Sources: Cox & Matthews (2002) for
+ETD2RK (``eerk2`` at ``c2 = 1``), ``etd3rk`` and ``cm4``; Hochbruck &
+Ostermann (2005) for ``eerk31``, ``eerk32`` and ``ho4``; Strehmel & Weiner
+(1992) for ``eerk2s`` and ``sw4``; Krogstad (2005) for ``krogstad4``;
+Celledoni, Marthinsen & Owren (2003) for ``etd2cf3``.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +28,7 @@ from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, evaluate
 __all__ = [
     "Tableau",
     "MethodError",
-    "METHOD_PARAMS",
+    "catalog",
     "get_method",
     "parse_method",
     "coefficient_matrix",
@@ -297,36 +288,31 @@ def _ho4() -> Tableau:
     return Tableau("ho4", (), (F(0), half, half, F(1), half, F(1)), rows)
 
 
-_BUILDERS = {
-    "etd1": _etd1,
-    "eerk2": _eerk2,
-    "eerk2w": _eerk2w,
-    "eerk2s": _eerk2s,
-    "eerk31": _eerk31,
-    "eerk32": _eerk32,
-    "etd3rk": _etd3rk,
-    "etd2cf3": _etd2cf3,
-    "cm4": _cm4,
-    "krogstad4": _krogstad4,
-    "sw4": _sw4,
-    "ho4": _ho4,
+#: name -> (builder, one-line description); the builder's parameters are
+#: the abscissas the method takes, in declaration order
+_CATALOG = {
+    "etd1": (_etd1, "exponential forward Euler (1 stage)"),
+    "eerk2": (_eerk2, "second-order family; c2=1 is ETD2RK (Cox & Matthews)"),
+    "eerk2w": (_eerk2w, "weak second-order family"),
+    "eerk2s": (_eerk2s, "3-stage second-order method (Strehmel & Weiner)"),
+    "eerk31": (_eerk31, "third-order family, c3 fixed at 2/3 (Hochbruck & Ostermann)"),
+    "eerk32": (_eerk32, "two-parameter third-order family (Hochbruck & Ostermann)"),
+    "etd3rk": (_etd3rk, "3-stage method of Cox & Matthews"),
+    "etd2cf3": (_etd2cf3, "commutator-free CF3 variant (Celledoni et al.)"),
+    "cm4": (_cm4, "exponential classical RK4 (Cox & Matthews)"),
+    "krogstad4": (_krogstad4, "fourth-order method of Krogstad"),
+    "sw4": (_sw4, "fourth-order method of Strehmel & Weiner"),
+    "ho4": (_ho4, "5-stage stiff-order-4 method (Hochbruck & Ostermann)"),
 }
 
-#: Parameter names each method accepts, in declaration order.
-METHOD_PARAMS = {
-    "etd1": (),
-    "eerk2": ("c2",),
-    "eerk2w": ("c2",),
-    "eerk2s": ("c2",),
-    "eerk31": ("c2",),
-    "eerk32": ("c2", "c3"),
-    "etd3rk": (),
-    "etd2cf3": (),
-    "cm4": (),
-    "krogstad4": (),
-    "sw4": (),
-    "ho4": (),
-}
+
+def _params(builder) -> tuple:
+    return tuple(inspect.signature(builder).parameters)
+
+
+def catalog() -> list:
+    """``(name, parameter names, description)`` of every method, by name."""
+    return [(name, _params(builder), text) for name, (builder, text) in sorted(_CATALOG.items())]
 
 
 def _as_fraction(value) -> Fraction:
@@ -348,14 +334,14 @@ def get_method(name: str, **params) -> Tableau:
     unknown names, wrong parameter sets or inadmissible abscissas.
     """
     key = name.lower()
-    if key not in _BUILDERS:
-        known = ", ".join(sorted(_BUILDERS))
+    if key not in _CATALOG:
+        known = ", ".join(sorted(_CATALOG))
         raise MethodError(f"unknown method {name!r} (known: {known})")
-    expected = METHOD_PARAMS[key]
+    builder = _CATALOG[key][0]
+    expected = _params(builder)
     if set(params) != set(expected):
         raise MethodError(f"{key} takes parameters {expected}, got {tuple(params)}")
-    args = [_as_fraction(params[p]) for p in expected]
-    return _BUILDERS[key](*args)
+    return builder(*[_as_fraction(params[p]) for p in expected])
 
 
 def parse_method(spec: str) -> Tableau:

@@ -278,6 +278,23 @@ def test_run_rate_with_implicit_column(tmp_path):
     assert header == "z,rate,rate_implicit"
 
 
+@pytest.mark.parametrize("taus,zero_row", [("0.01,0.005", 1), ("0.005,0.01", 0)],
+                         ids=["later-row", "earlier-row"])
+def test_cli_converge_zero_error_has_undefined_order(taus, zero_row, capsys, tmp_path):
+    # a coarse run that repeats the reference run has an error of exactly 0;
+    # an order next to it is undefined, as in the first row
+    code = main(["converge", "--method", "eerk2w:c2=1", "--tau", taus, "--ref-tau", "0.005",
+                 "--ref-method", "eerk2w:c2=1", "--m", "31", "--T", "0.1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    table = capsys.readouterr().out.splitlines()[2:]
+    assert [line.split()[-1] for line in table] == ["-", "-"]
+    csv = [line.split(",") for line in
+           (tmp_path / "eerk2w-c2-1_convergence.csv").read_text().splitlines()[1:]]
+    assert [row[2] for row in csv] == ["", ""]
+    assert [float(row[1]) == 0.0 for row in csv] == [i == zero_row for i in range(2)]
+
+
 # --------------------------------------------------------------------------
 # CLI
 # --------------------------------------------------------------------------

@@ -221,6 +221,7 @@ def test_default_grid_shape():
     ("eerk2s", {"c2": "1/2"}), ("eerk2s", {"c2": 1}),
     ("eerk31", {"c2": "4/9"}),
     ("eerk32", {"c2": 1, "c3": "1/2"}),
+    ("eerk2w", {"c2": "2554/10000"}),
 ])
 def test_psd_methods(name, params):
     assert classify_method(get_method(name, **params)).is_psd
@@ -282,8 +283,11 @@ def test_etd3rk_third_minor_negative_near_zero():
     assert c.witness.minor_index == 3
 
 
-def test_eerk2_below_abscissa_threshold_is_npd():
-    c = classify_method(get_method("eerk2", c2="2/5"))
+@pytest.mark.parametrize("name,c2", [("eerk2", "2/5"), ("eerk2w", "2553/10000")],
+                         ids=["eerk2", "eerk2w"])
+def test_eerk2_below_abscissa_threshold_is_npd(name, c2):
+    # eerk2w turns PSD on the default grid between 2553/10000 and 2554/10000
+    c = classify_method(get_method(name, c2=c2))
     assert c.verdict == "NPD"
     assert c.witness.minor_index == 2
 
