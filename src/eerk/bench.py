@@ -369,6 +369,8 @@ def run_convergence(cfg: ExperimentConfig):
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     ref_tableau, ref_tau = cfg.resolve_reference()
+    if not cfg.t_final > 0:
+        raise ConfigError(f"a convergence table needs a positive final time, got {cfg.t_final}")
     _check_horizon(cfg.t_final, ref_tau)
     _make_out_dir(cfg)
 

@@ -31,12 +31,14 @@ shared among the B members, at least one step each.  The steps of a
 block write their stages into one ``(B, ks+1, m)`` buffer and its
 sine-coefficient twin, each step starting from the row where the previous
 one ended.  Only then is the block checked and recorded, with one call for
-each job: the sup-norms of all stage rows, whose first non-finite value in
-a member names its diverged step (its report stops before it, the later
-steps of its block are dropped, and the member leaves the ensemble while
-the others go on); the energies of the step ends, or of every stage when
-monitoring; and the margins, whose quadratic forms are contracted member
-by member.  A caller that needs more
+each job, into series sized for the horizon, one row per member and one
+column per step: the sup-norms of all stage rows, whose first non-finite
+value in a member names its diverged step (its report stops before it,
+and nothing later of it is recorded or handed over); the energies of the
+step ends, or of every stage when monitoring; and the margins, whose
+quadratic forms are contracted member by member.  A run keeps its shape:
+a diverged member's rows are still computed until the run ends, which it
+does early once every member has diverged.  A caller that needs more
 than the reports (the convergence driver samples the step ends) passes
 ``on_block``, one hook per member, each of which then receives the finite
 steps of its member's block as one ``(k, s, m)`` view of the stage buffer.
@@ -99,23 +101,22 @@ class Ensemble(tuple):
 
 class _StepWorkspace:
     """Folded spectral coefficient caches of an ensemble for a fixed
-    (problem, tau), and the stage buffers of its live members with
-    ``rows`` stage rows each."""
+    (problem, tau), and its stage buffers with ``rows`` stage rows per
+    member."""
 
     def __init__(self, problem: Problem, ensemble: Ensemble, tau: float, monitor: bool, rows: int):
         if tau <= 0:
             raise ValueError(f"step size must be positive, got {tau}")
         self.problem = problem
         self.tau = float(tau)
-        self.n_rows = rows
         op = problem.op
-        m, s = op.m, ensemble.stages
+        members, m, s = len(ensemble), op.m, ensemble.stages
         tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
         # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s],
         # g_j = factor * DST(N(U^j)) with N the physical-space nonlinearity:
         # column 0 holds b_i, column j the folded tau a_{i+1,j} * factor
-        self.coeff = np.empty((len(ensemble), s, s + 1, m))
-        self.dmats = np.empty((len(ensemble), s, s, m)) if monitor else None
+        self.coeff = np.empty((members, s, s + 1, m))
+        self.dmats = np.empty((members, s, s, m)) if monitor else None
         weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
         for b, tableau in enumerate(ensemble):
             # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the one
@@ -128,18 +129,12 @@ class _StepWorkspace:
                 # d_{kl}(z), zero above the diagonal, times the metric weight
                 d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
                 self.dmats[b] = np.moveaxis(d, 0, -1) * weight
-        self._allocate()
-
-    def _allocate(self) -> None:
-        """Stage buffers for the members of the coefficient cache."""
-        op = self.problem.op
-        members, s = self.coeff.shape[:2]
         # both transforms of a stage are op.forward done in run buffers: the
         # stage buffers hold the physical rows and the odd extensions of
         # their sine coefficients, and the nonlinearity of a stage is written
         # into one more odd extension per member
-        self.u = np.empty((members, self.n_rows, op.m))
-        self.u_odd, self.u_hat, self.u_tail = op.odd_buffer((members, self.n_rows))
+        self.u = np.empty((members, rows, m))
+        self.u_odd, self.u_hat, self.u_tail = op.odd_buffer((members, rows))
         self.n_odd, self.n_phys, self.n_tail = op.odd_buffer((members,))
         # spectrum row j >= 1 holds the transform of N(U^j), and the
         # coefficient view of row 0 holds U_hat^1, so the terms are one view
@@ -148,16 +143,6 @@ class _StepWorkspace:
         self.rows = [(self.coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1])
                      for i in range(s)]
         self.back, self.back_coeffs = op.spectrum_buffer((members,))
-
-    def retain(self, keep: list) -> None:
-        """Drop every member but those at the indices ``keep``, whose
-        row 0 carries over."""
-        start, start_hat = self.u[keep, 0], self.u_hat[keep, 0]
-        self.coeff = self.coeff[keep]
-        if self.dmats is not None:
-            self.dmats = self.dmats[keep]
-        self._allocate()
-        self.u[:, 0], self.u_hat[:, 0] = start, start_hat
 
     def advance(self, r: int) -> None:
         """Fill rows ``r+1..r+s`` of the stage buffers ``u`` and ``u_hat``
@@ -180,7 +165,7 @@ class _StepWorkspace:
 
     def margins(self, energies: np.ndarray, start: np.ndarray) -> tuple:
         """Margins, shape ``(B, k, s)``, of the first ``k`` steps of a block
-        of each live member, from their stage energies ``E[U^{j+1}]``,
+        of each member, from their stage energies ``E[U^{j+1}]``,
         shape ``(B, k, s)``, and their start energies ``E[U^1]``, shape
         ``(B, k)``; and the rounding floor of each margin, a few ulps of
         the terms it subtracts."""
@@ -243,32 +228,6 @@ class EnsembleReport(tuple):
         return any(report.diverged for report in self)
 
 
-class _Series:
-    """What a member's report gathers, block by block."""
-
-    def __init__(self, tableau: Tableau, hook, energy0: np.ndarray, sup0: np.ndarray):
-        self.tableau, self.hook = tableau, hook
-        self.energies, self.sup_norms = [energy0], [sup0]
-        self.margins, self.floors = [], []
-        self.final_state = None
-        self.diverged_step = None
-
-    def report(self, tau: float) -> RunReport:
-        energies = np.concatenate(self.energies)
-        return RunReport(
-            method=self.tableau.label,
-            tau=tau,
-            times=tau * np.arange(len(energies)),
-            energies=energies,
-            sup_norms=np.concatenate(self.sup_norms),
-            final_state=self.final_state,
-            margins=np.concatenate(self.margins) if self.margins else None,
-            margin_floors=np.concatenate(self.floors) if self.floors else None,
-            diverged=self.diverged_step is not None,
-            diverged_step=self.diverged_step,
-        )
-
-
 def _step_count(t_final: float, tau: float) -> int:
     ratio = t_final / tau
     n = round(ratio)
@@ -286,7 +245,9 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     ``tableau`` is one :class:`Tableau`, which gives one :class:`RunReport`,
     or a sequence of them sharing a stage count (see :class:`Ensemble`),
     which gives an :class:`EnsembleReport` whose reports equal those of the
-    members' own runs.
+    members' own runs.  A diverged member keeps its rows in the buffers
+    to the end of the run, which stops early only once every member has
+    diverged.
 
     ``on_block(n0, stages)``, if given, is called after each checked block
     of steps ``n0+1 .. n0+k`` with the ``(k, s, m)`` view ``stages`` of
@@ -304,16 +265,21 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     if len(hooks) != len(ensemble):
         raise ValueError(f"{len(ensemble)} members need as many on_block hooks, got {len(hooks)}")
     n_steps = 0 if t_final == 0 else _step_count(t_final, tau)
-    s, m = ensemble.stages, problem.op.m
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)) // len(ensemble))
+    members, s, m = len(ensemble), ensemble.stages, problem.op.m
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)) // members)
     ws = _StepWorkspace(problem, ensemble, tau, monitor, block * s + 1)
     u, u_hat = ws.u, ws.u_hat
     u[:, 0] = u0
     u_hat[:, 0] = problem.op.forward(u[0, 0])
-    energy0 = problem.energy(u[0, :1], u_hat[0, :1])
-    sup0 = np.max(np.abs(u[0, :1]), axis=1)
-    series = [_Series(t, hook, energy0, sup0) for t, hook in zip(ensemble, hooks)]
-    live = list(series)
+    # column n of a series holds the end of step n, for every member
+    energies = np.empty((members, n_steps + 1))
+    sup_norms = np.empty((members, n_steps + 1))
+    energies[:, 0] = problem.energy(u[0, :1], u_hat[0, :1])
+    sup_norms[:, 0] = np.max(np.abs(u[0, :1]), axis=1)
+    margins = np.empty((members, n_steps, s)) if monitor else None
+    floors = np.empty((members, n_steps, s)) if monitor else None
+    diverged_steps = [None] * members
+    final_states = [None] * members
     # overflow in a blowing-up nonlinearity is handled via the divergence
     # check, not floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,43 +290,44 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
             # the sup-norm of a row is finite only if the whole row is
             stage_rows = slice(1, k * s + 1)
             sup = np.max(np.abs(u[:, stage_rows]), axis=2)
+            sup_norms[:, n0 + 1:n0 + k + 1] = sup[:, s - 1::s]
             if monitor:
                 stage_energies = problem.energy(u[:, stage_rows], u_hat[:, stage_rows])
-                stage_energies = stage_energies.reshape(len(live), k, s)
-                last = np.array([member.energies[-1][-1] for member in live])
-                starts = np.concatenate((last[:, None], stage_energies[:, :-1, -1]), axis=1)
-                margins, floors = ws.margins(stage_energies, starts)
-                end_energies = stage_energies[:, :, -1]
+                stage_energies = stage_energies.reshape(members, k, s)
+                energies[:, n0 + 1:n0 + k + 1] = stage_energies[:, :, -1]
+                margins[:, n0:n0 + k], floors[:, n0:n0 + k] = ws.margins(
+                    stage_energies, energies[:, n0:n0 + k])
             else:
                 ends = slice(s, k * s + 1, s)
-                end_energies = problem.energy(u[:, ends], u_hat[:, ends])
-            keep = []
-            for b, member in enumerate(live):
+                energies[:, n0 + 1:n0 + k + 1] = problem.energy(u[:, ends], u_hat[:, ends])
+            for b, hook in enumerate(hooks):
+                if diverged_steps[b] is not None:
+                    continue
                 bad = np.flatnonzero(~np.isfinite(sup[b]))
                 kb = k
                 if bad.size:
                     kb = int(bad[0]) // s
-                    member.diverged_step = n0 + kb + 1
-                    member.final_state = u[b, kb * s].copy()
-                else:
-                    keep.append(b)
-                if not kb:
-                    continue
-                member.sup_norms.append(sup[b, s - 1:kb * s:s])
-                member.energies.append(end_energies[b, :kb])
-                if monitor:
-                    member.margins.append(margins[b, :kb])
-                    member.floors.append(floors[b, :kb])
-                if member.hook is not None:
-                    member.hook(n0, u[b, 1:kb * s + 1].reshape(kb, s, m))
+                    diverged_steps[b] = n0 + kb + 1
+                    final_states[b] = u[b, kb * s].copy()
+                if kb and hook is not None:
+                    hook(n0, u[b, 1:kb * s + 1].reshape(kb, s, m))
+            if None not in diverged_steps:
+                break
             u[:, 0], u_hat[:, 0] = u[:, k * s], u_hat[:, k * s]
-            if len(keep) < len(live):
-                live = [live[b] for b in keep]
-                if not live:
-                    break
-                ws.retain(keep)
-                u, u_hat = ws.u, ws.u_hat
-    for b, member in enumerate(live):
-        member.final_state = u[b, 0].copy()
-    reports = [member.report(tau) for member in series]
+    reports = []
+    for b, tableau in enumerate(ensemble):
+        step = diverged_steps[b]
+        n = n_steps if step is None else step - 1
+        reports.append(RunReport(
+            method=tableau.label,
+            tau=tau,
+            times=tau * np.arange(n + 1),
+            energies=energies[b, :n + 1],
+            sup_norms=sup_norms[b, :n + 1],
+            final_state=u[b, 0].copy() if step is None else final_states[b],
+            margins=margins[b, :n] if monitor and n else None,
+            margin_floors=floors[b, :n] if monitor and n else None,
+            diverged=step is not None,
+            diverged_step=step,
+        ))
     return reports[0] if single else EnsembleReport(reports)

@@ -391,6 +391,14 @@ def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_cli_converge_zero_horizon_is_a_config_error(capsys, tmp_path):
+    # a zero horizon has no error to tabulate, whatever the step sizes
+    code = main(["converge", "--method", "etd1", "--T", "0", "--m", "31", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: a convergence table needs a positive final time, got 0.0\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_singular_diagonal_errors_name_method_and_z(capsys, tmp_path):
     # ho4's fourth diagonal coefficient vanishes at z = 0 and far out
     for command in ("rate", "analyze"):

@@ -463,23 +463,32 @@ def test_ensemble_of_one_is_the_single_run(monitor):
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(one, single))
 
 
+# alone, eerk2w with these abscissas diverges at steps 5, 6 and 12 and not
+# at all at tau=1, T=40; at tau=2, T=80 at steps 5, 6, 7 and 7, so that every
+# member has diverged when the run stops
+DIVERGING = {"some": (1.0, 40.0, [5, 6, 12, None], 4 + 5 + 11 + 40),
+             "all": (2.0, 80.0, [5, 6, 7, 7], 4 + 5 + 6 + 6)}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
-def test_diverged_members_leave_the_ensemble(monitor):
-    # alone, eerk2w with these abscissas diverges at steps 5, 6 and 12 and
-    # not at all; together, each is reported at its own step and the
-    # others go on
+@pytest.mark.parametrize("case,monitor", [
+    pytest.param("some", False, id="plain"), pytest.param("some", True, id="monitor"),
+    pytest.param("all", False, id="all-plain"), pytest.param("all", True, id="all-monitor")])
+def test_diverged_members_leave_the_ensemble(case, monitor):
+    # together, each member is reported at its own step as in its own run,
+    # while the rows of the diverged ones stay in the buffers
+    tau, t_final, diverged_steps, n_steps = DIVERGING[case]
     op = build_laplacian_1d(2 * np.pi, 63)
     p = Problem(op, CahnHilliard(eps=0.2, kappa=0.1))
     u0 = initial_profile("bumps", op.x)
     tableaux = [get_method("eerk2w", c2=c) for c in ("1/10", "3/11", "1/2", "1")]
     hooks = [Blocks() for _ in tableaux]
-    reports = integrate(p, tableaux, u0, 1.0, 40.0, monitor, on_block=hooks)
-    assert [r.diverged_step for r in reports] == [5, 6, 12, None]
-    assert reports.diverged and reports.n_steps == 4 + 5 + 11 + 40
+    reports = integrate(p, tableaux, u0, tau, t_final, monitor, on_block=hooks)
+    assert [r.diverged_step for r in reports] == diverged_steps
+    assert reports.diverged and reports.n_steps == n_steps
     for t, report, blocks in zip(tableaux, reports, hooks):
         alone = Blocks()
-        assert_same_report(report, integrate(p, t, u0, 1.0, 40.0, monitor, on_block=alone))
+        assert_same_report(report, integrate(p, t, u0, tau, t_final, monitor, on_block=alone))
         assert np.array_equal(blocks.steps(), alone.steps())
 
 
