@@ -190,13 +190,14 @@ class ExperimentConfig:
 
     def resolve_reference(self) -> tuple:
         """Reference method/step for convergence runs; defaults to a
-        PSD-on-grid member of the matching family at tau_0/32:
-        ``eerk31:c2=4/9`` (its threshold) or ``eerk2w:c2=3/11`` (above its
+        PSD-on-grid method at tau_0/32: the third-order ``eerk31:c2=4/9``
+        (its threshold) when any configured method has three or more
+        stages, else the second-order ``eerk2w:c2=3/11`` (above its
         threshold, which lies between 2553/10000 and 2554/10000)."""
         spec = self.ref_method
         if spec is None:
-            first = self.methods[0].split(":")[0] if self.methods else ""
-            spec = "eerk31:c2=4/9" if first.startswith("eerk3") else "eerk2w:c2=3/11"
+            third = any(t.stages >= 3 for t in self.tableaux())
+            spec = "eerk31:c2=4/9" if third else "eerk2w:c2=3/11"
         try:
             ref = parse_method(spec)
         except MethodError as exc:

@@ -11,7 +11,8 @@ Subcommands::
 Method specs look like ``etd1``, ``eerk2:c2=0.5`` or
 ``eerk32:c2=0.75,c3=0.6``; abscissas accept decimals or fractions.  All
 outputs are CSV.  Exit codes: 0 success, 2 configuration error (also a
-z grid on which D(z) leaves the float64 range), 3 divergence.
+z grid on which a diagonal coefficient of D(z) vanishes or, for analyze, a
+minor leaves the float64 range), 3 divergence.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from eerk.tableaux import MethodError, catalog
 _EXIT_CONFIG = 2
 _EXIT_DIVERGENCE = 3
 
-def _add_common(sub, *, methods=True):
-    if methods:
-        sub.add_argument("--method", action="append", dest="methods",
-                         metavar="SPEC", help="method spec; repeatable")
+def _add_common(sub):
+    sub.add_argument("--method", action="append", dest="methods",
+                     metavar="SPEC", help="method spec; repeatable")
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--out", help="output directory for CSV files")
 

@@ -21,13 +21,16 @@ loop and ``D(z)``.
 
 The scalar ``trace(D)/s`` is the *average dissipation rate* R(z): values
 near 1 mean the discrete energy decays at about the continuous rate, larger
-values mean a time-"ahead" effect.  It reads the diagonal of the same
-evaluated ``A(z)``, since ``abar`` and ``A`` share their diagonal.
+values mean a time-"ahead" effect.  It is read off the same ``D(z)``, whose
+diagonal ``1/a_{k+1,k}(z) + z/2`` (``+ z`` implicit) stays finite where
+entries below it overflow.
 
 Classification scans a grid of ``z <= 0``: a method is ``PSD-on-grid`` when
 every leading principal minor of ``S`` is nonnegative (up to a
 magnitude-aware tolerance) at every grid point, else ``NPD`` with a witness
 refined by bisection toward the sign change; a non-finite minor is an error.
+One private scan forms ``D(z)`` once and gives the rate, the minors and
+their verdicts, for the grid, each bisection point and the witness alike.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ _TOL = 1e-9
 class SingularDiagonalError(ArithmeticError):
     """``D(z)`` cannot be formed in float64 at some z: a diagonal difference
     coefficient vanished, or a minor of its symmetric part is not finite."""
-
-
-def _check_variant(variant):
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 def _first_zero(diag: np.ndarray, z, label: str) -> None:
@@ -115,12 +113,12 @@ def _from_coefficients(a: np.ndarray, z: np.ndarray, variant: str, label: str) -
 
 def differentiation_matrix(t: Tableau, z, variant: str = "standard") -> np.ndarray:
     """Differentiation matrix ``D(z)`` (or the implicit variant) at ``z``,
-    built from the evaluated ``A(z)`` through the DOC recursion."""
-    _check_variant(variant)
-    scalar = np.isscalar(z)
-    zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    d = _from_coefficients(coefficient_matrix(t, zarr), zarr, variant, t.label)
-    return d[0] if scalar else d
+    shape ``z.shape + (s, s)``, built from the evaluated ``A(z)`` through
+    the DOC recursion."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    z = np.asarray(z, dtype=float)
+    return _from_coefficients(coefficient_matrix(t, z), z, variant, t.label)
 
 
 def leading_principal_minors(d: np.ndarray) -> np.ndarray:
@@ -139,29 +137,14 @@ def leading_principal_minors(d: np.ndarray) -> np.ndarray:
     return minors
 
 
-def _rate_from_coefficients(a: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
-    """``R(z)``, shape ``(n,)``, from the evaluated ``A(z)``, shape
-    ``(n, s, s)``, at the ``(n,)`` points ``z``."""
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    _first_zero(diag, z, label)
-    inv_sum = np.zeros_like(z)
-    for i in range(diag.shape[-1]):
-        inv_sum += 1.0 / diag[..., i]
-    shift = 0.5 if variant == "standard" else 1.0
-    return shift * z + inv_sum / diag.shape[-1]
-
-
 def average_dissipation_rate(t: Tableau, z, variant: str = "standard"):
-    """``R(z) = z/2 + mean_i 1/a_{i+1,i}(z)`` (or ``z + mean`` implicit).
+    """``R(z) = trace(D)/s`` of the given variant, shape ``z.shape``.
 
-    Equals ``trace(D)/s`` of the corresponding variant.  Scalar in, float
-    out; array in, array out.
+    Only the diagonal of ``D`` enters, so the rate stays finite where
+    entries below the diagonal overflow.
     """
-    _check_variant(variant)
-    scalar = np.isscalar(z)
-    zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    rate = _rate_from_coefficients(coefficient_matrix(t, zarr), zarr, variant, t.label)
-    return float(rate[0]) if scalar else rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.trace(differentiation_matrix(t, z, variant), axis1=-2, axis2=-1) / t.stages
 
 
 def default_z_grid() -> np.ndarray:
@@ -189,24 +172,26 @@ class Classification:
         return self.verdict == "PSD-on-grid"
 
 
-def _violations(t: Tableau, grid: np.ndarray, variant: str) -> tuple:
-    """Leading principal minors of ``S(D; z)`` on the grid, shape ``(n, s)``,
-    and where minor ``j`` falls below ``-_TOL * max(1, max_k |S_kk|)^j``.
+def _scan(t: Tableau, z, variant: str) -> tuple:
+    """The rate, the leading principal minors of ``S(D; z)`` and where minor
+    ``j`` falls below ``-_TOL * max(1, max_k |S_kk|)^j``: shapes
+    ``z.shape``, ``z.shape + (s,)`` and ``z.shape + (s,)``, from one ``D(z)``.
 
     Raises :class:`SingularDiagonalError` at the first ``z`` where a minor is
-    not finite: there ``D`` has left the float64 range.
+    not finite: there ``D`` or its minors have left the float64 range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        d = differentiation_matrix(t, grid, variant)
+        d = differentiation_matrix(t, z, variant)
         minors = leading_principal_minors(d)
         # S and D share their diagonal
-        scale = np.maximum(1.0, np.max(np.abs(np.diagonal(d, axis1=-2, axis2=-1)), axis=-1))
-        below = minors < -_TOL * scale[:, None] ** np.arange(1, t.stages + 1)
+        diag = np.diagonal(d, axis1=-2, axis2=-1)
+        scale = np.maximum(1.0, np.max(np.abs(diag), axis=-1))
+        below = minors < -_TOL * scale[..., None] ** np.arange(1, t.stages + 1)
     finite = np.all(np.isfinite(minors), axis=-1)
     if not np.all(finite):
-        z = grid[np.argmin(finite)]
-        raise SingularDiagonalError(f"{t.label}: a leading principal minor is not finite at z={z:.6g}")
-    return minors, below
+        z0 = np.ravel(z)[np.argmin(np.ravel(finite))]
+        raise SingularDiagonalError(f"{t.label}: a leading principal minor is not finite at z={z0:.6g}")
+    return np.trace(d, axis1=-2, axis2=-1) / t.stages, minors, below
 
 
 def classify_method(t: Tableau, z_grid=None, variant: str = "standard") -> Classification:
@@ -217,38 +202,36 @@ def classify_method(t: Tableau, z_grid=None, variant: str = "standard") -> Class
     smallest-|z| violating grid point, sharpened by 20 bisection steps
     toward the adjacent passing point.
     """
-    _check_variant(variant)
     grid = default_z_grid() if z_grid is None else np.sort(np.asarray(z_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("empty z grid")
     if np.any(grid > 0.0):
         raise ValueError("classification grid must satisfy z <= 0")
 
-    violating = np.any(_violations(t, grid, variant)[1], axis=-1)
+    violating = np.any(_scan(t, grid, variant)[2], axis=-1)
     if not np.any(violating):
         return Classification("PSD-on-grid", None)
 
     idx = int(np.max(np.nonzero(violating)[0]))  # ascending grid: largest z
     z_fail = float(grid[idx])
-    if idx + 1 < grid.size and not violating[idx + 1]:
+    if idx + 1 < grid.size:
         z_pass = float(grid[idx + 1])
         for _ in range(20):
             mid = 0.5 * (z_fail + z_pass)
-            if np.any(_violations(t, np.array([mid]), variant)[1]):
+            if np.any(_scan(t, mid, variant)[2]):
                 z_fail = mid
             else:
                 z_pass = mid
-    minors, below = _violations(t, np.array([z_fail]), variant)
-    j = int(np.argmax(below[0]))  # the first violating minor
-    return Classification("NPD", Witness(z_fail, j + 1, float(minors[0, j])))
+    _, minors, below = _scan(t, z_fail, variant)
+    j = int(np.argmax(below))  # the first violating minor
+    return Classification("NPD", Witness(z_fail, j + 1, float(minors[j])))
 
 
 def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):
     """Rates and minors over a grid: ``(z, rate, minors)`` arrays with
     shapes ``(n,)``, ``(n,)``, ``(n, s)`` (one CSV row per grid point),
-    all from one evaluation of ``A(z)``."""
-    _check_variant(variant)
+    all from one ``D(z)``.  Raises :class:`SingularDiagonalError` where a
+    minor is not finite, as :func:`classify_method` does."""
     grid = default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    a = coefficient_matrix(t, grid)
-    minors = leading_principal_minors(_from_coefficients(a, grid, variant, t.label))
-    return grid, _rate_from_coefficients(a, grid, variant, t.label), minors
+    rate, minors, _ = _scan(t, grid, variant)
+    return grid, rate, minors

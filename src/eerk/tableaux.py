@@ -86,19 +86,15 @@ class Tableau:
 
 
 def coefficient_matrix(t, z) -> np.ndarray:
-    """Evaluate the s x s coefficient matrix at ``z``.
-
-    For scalar ``z`` the result has shape ``(s, s)``; for an array of shape
-    ``(n,)`` it is ``(n, s, s)``.  Strictly upper entries are zero.
-    """
-    s = t.stages
-    scalar = np.isscalar(z)
-    zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros(zarr.shape + (s, s))
+    """Evaluate the s x s coefficient matrix at ``z``: shape
+    ``z.shape + (s, s)``, so ``(s, s)`` for scalar ``z`` and ``(n, s, s)``
+    for an ``(n,)`` array.  Strictly upper entries are zero."""
+    z = np.asarray(z, dtype=float)
+    out = np.zeros(z.shape + (t.stages, t.stages))
     for i, row in enumerate(t.rows):
         for j, entry in enumerate(row):
-            out[..., i, j] = evaluate(entry, zarr)
-    return out[0] if scalar else out
+            out[..., i, j] = evaluate(entry, z)
+    return out
 
 
 def butcher_diff(t: Tableau) -> Tableau:

@@ -6,7 +6,8 @@ from these helpers does not share its sine transform with
 product take no transform at all.
 
 Tableaux and differentiation matrices: ``D(z)`` through a linear solve with
-``A(z)`` instead of the DOC recursion, the residual of the DOC identity, the
+``A(z)`` instead of the DOC recursion, the average dissipation rate in closed
+form from the diagonal of ``A(z)``, the residual of the DOC identity, the
 row-sum (equilibria) identity through ``expm1``, the stiff order-condition
 residuals, and the large-|z| rate condition of the two-parameter third-order
 family in closed form.
@@ -92,6 +93,16 @@ def differentiation_matrix_inverse_route(t: Tableau, z, variant: str = "standard
     if variant == "standard":
         d = d - (zz / 2.0) * np.eye(s)
     return d[0] if scalar else d
+
+
+def average_dissipation_rate_closed_form(t: Tableau, z, variant: str = "standard") -> np.ndarray:
+    """``z/2 + mean_i 1/a_{i+1,i}(z)`` (standard) or ``z + mean`` (implicit)
+    from the diagonal of ``A(z)``, which the difference coefficients share,
+    without forming ``D``."""
+    zarr = np.asarray(z, dtype=float)
+    diag = np.diagonal(coefficient_matrix(t, zarr), axis1=-2, axis2=-1)
+    shift = 0.5 if variant == "standard" else 1.0
+    return shift * zarr + np.mean(1.0 / diag, axis=-1)
 
 
 def doc_identity_residual(dt: Tableau, z) -> float:

@@ -232,6 +232,14 @@ def test_run_convergence_divergent_coarse_run_aborts():
         run_convergence(cfg)
 
 
+@pytest.mark.parametrize("method", ["etd3rk", "cm4"])
+def test_default_reference_keeps_third_order(method):
+    # a second-order reference would bury a higher-order method's error in
+    # its own: the last order then read 1.25 (etd3rk) and 0.01 (cm4)
+    rows = run_convergence(ExperimentConfig(methods=[method], m=31, t_final=0.5))[method]
+    assert rows[-1].order >= 2.5
+
+
 def test_run_convergence_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_convergence(small_cfg(out=a))
@@ -397,6 +405,21 @@ def test_cli_converge_zero_horizon_is_a_config_error(capsys, tmp_path):
     assert code == 2
     assert capsys.readouterr().err == "error: a convergence table needs a positive final time, got 0.0\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method,grid", [
+    # the minors of S leave the float64 range here, and analyze exits 2
+    ("cm4", "lin:-1e160:-1e150:3"),
+    # entries of D below its diagonal overflow at -1.75e307
+    ("eerk32:c2=7/10,c3=1", "lin:-1.75e307:-1e307:3"),
+], ids=["minors", "below-diagonal"])
+def test_cli_rate_reads_only_the_diagonal(method, grid, tmp_path):
+    # the rate is read off the diagonal of D, which stays finite
+    assert main(["rate", "--method", method, "--grid", grid, "--out", str(tmp_path)]) == 0
+    (csv,) = tmp_path.iterdir()
+    rate = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1]
+    assert rate.shape == (3,) and np.all(np.isfinite(rate))
 
 
 def test_singular_diagonal_errors_name_method_and_z(capsys, tmp_path):

@@ -16,7 +16,12 @@ from eerk.dissipation import (
     scan_method,
 )
 from eerk.tableaux import butcher_diff, get_method
-from oracles import differentiation_matrix_inverse_route, doc_identity_residual, eerk32_abscissa_condition
+from oracles import (
+    average_dissipation_rate_closed_form,
+    differentiation_matrix_inverse_route,
+    doc_identity_residual,
+    eerk32_abscissa_condition,
+)
 
 Z_SET = np.array([-0.01, -0.1, -1.0, -10.0, -100.0])
 
@@ -264,11 +269,12 @@ def test_npd_witness_is_pinned(name, variant, z, index, value):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["cm4", "krogstad4", "sw4", "etd2cf3"])
 def test_classify_rejects_non_finite_minors(name):
-    # D(z) leaves the float64 range: the minors there are inf or nan, and a
-    # comparison with them must not read as a pass
+    # the minors of S leave the float64 range: they are inf or nan there, and
+    # a comparison with them must not read as a pass, nor be written as a curve
     grid = np.linspace(-1e160, -1e150, 3)
-    with pytest.raises(SingularDiagonalError, match=f"{name}: .* z=-1e\\+160"):
-        classify_method(get_method(name), z_grid=grid)
+    for analysis in (classify_method, scan_method):
+        with pytest.raises(SingularDiagonalError, match=f"{name}: .* z=-1e\\+160"):
+            analysis(get_method(name), z_grid=grid)
 
 
 def test_etd2cf3_witness_below_minus_six():
@@ -321,13 +327,14 @@ def test_rate_limits_near_zero():
 
 
 def test_rate_equals_scaled_trace():
+    # trace(D)/s against its closed form from the diagonal of A(z)
     grid = np.array([-1e-4, -0.37, -3.0, -55.0, -4e3])
     for name, params in CATALOG:
         t = get_method(name, **params)
         for variant in ("standard", "implicit"):
             r = average_dissipation_rate(t, grid, variant)
-            tr = np.trace(differentiation_matrix(t, grid, variant), axis1=-2, axis2=-1)
-            assert np.max(np.abs(r - tr / t.stages)) < 1e-12 * np.max(np.abs(r)), (name, variant)
+            closed = average_dissipation_rate_closed_form(t, grid, variant)
+            assert np.max(np.abs(r - closed)) < 1e-12 * np.max(np.abs(r)), (name, variant)
 
 
 def test_implicit_rate_offset():
