@@ -13,8 +13,7 @@ contraction of its row with the terms ``[U^1, g(U^1) .. g(U^s)]`` in sine
 coefficients.  The state is carried in sine coefficients from step to step:
 each stage transforms only its physical-space nonlinearity forward and its
 result back, so a step costs ``2s`` sine transforms.  Each is
-``op.forward`` done bit for bit in preallocated per-run buffers from
-``op.odd_buffer`` and ``op.spectrum_buffer``, through ``op.transform_odd``.
+``op.forward`` done bit for bit by ``op.transform_odd`` in per-run buffers.
 
 ``integrate`` runs one tableau or an :class:`Ensemble` of B tableaux that
 share the problem, the initial state, tau and the stage count.  Every
@@ -74,6 +73,8 @@ from eerk.tableaux import Tableau, coefficient_matrix
 # that a large mesh or ensemble does not pay for the batching in memory
 _BLOCK_STEPS = 16
 _BLOCK_VALUES = 2**16
+# the largest shipped run, the criterion-6 reference, takes 25 600 steps
+_MAX_STEPS = 2**24
 # a margin is a difference of terms of size |E|; this many units of
 # roundoff of those terms is its floor
 _FLOOR_ULPS = 4
@@ -105,8 +106,6 @@ class _StepWorkspace:
     member."""
 
     def __init__(self, problem: Problem, ensemble: Ensemble, tau: float, monitor: bool, rows: int):
-        if tau <= 0:
-            raise ValueError(f"step size must be positive, got {tau}")
         self.problem = problem
         self.tau = float(tau)
         op = problem.op
@@ -132,10 +131,10 @@ class _StepWorkspace:
         # both transforms of a stage are op.forward done in run buffers: the
         # stage buffers hold the physical rows and the odd extensions of
         # their sine coefficients, and the nonlinearity of a stage is written
-        # into one more odd extension per member
+        # into the body of one more odd extension per member
         self.u = np.empty((members, rows, m))
-        self.u_odd, self.u_hat, self.u_tail = op.odd_buffer((members, rows))
-        self.n_odd, self.n_phys, self.n_tail = op.odd_buffer((members,))
+        self.u_odd, self.u_hat = op.odd_buffer((members, rows))
+        self.n_odd, self.n_phys = op.odd_buffer((members,))
         # spectrum row j >= 1 holds the transform of N(U^j), and the
         # coefficient view of row 0 holds U_hat^1, so the terms are one view
         spectra, self.terms = op.spectrum_buffer((members, s + 1))
@@ -149,17 +148,15 @@ class _StepWorkspace:
         with the stages of the step from row ``r``, for every member.  No
         row is checked for divergence; the caller does that and guards
         against overflow warnings."""
-        u, u_hat, u_odd, u_tail = self.u, self.u_hat, self.u_odd, self.u_tail
-        n_odd, n_phys, n_tail = self.n_odd, self.n_phys, self.n_tail
+        u, u_hat, u_odd = self.u, self.u_hat, self.u_odd
+        n_odd, n_phys = self.n_odd, self.n_phys
         nonlinearity, transform = self.problem.nonlinearity, self.problem.op.transform_odd
         back, back_coeffs = self.back, self.back_coeffs
         self.terms[:, 0] = u_hat[:, r]
         for i, (row, terms, spectrum) in enumerate(self.rows, start=r):
             nonlinearity(u[:, i], out=n_phys)
-            np.negative(n_phys, out=n_tail)
             transform(n_odd, spectrum)
             np.einsum("bjm,bjm->bm", row, terms, out=u_hat[:, i + 1])
-            np.negative(u_hat[:, i + 1], out=u_tail[:, i + 1])
             transform(u_odd[:, i + 1], back)
             np.copyto(u[:, i + 1], back_coeffs)
 
@@ -229,18 +226,28 @@ class EnsembleReport(tuple):
 
 
 def _step_count(t_final: float, tau: float) -> int:
-    ratio = t_final / tau
-    n = round(ratio)
+    """Steps of ``tau > 0`` to ``t_final``: 0, or a whole number within 8
+    ulps of ``t_final / tau`` and at most ``_MAX_STEPS``; else ValueError."""
+    if not tau > 0:
+        raise ValueError(f"step size must be positive, got {tau}")
+    if t_final == 0:
+        return 0
+    ratio = float(t_final) / float(tau)  # overflows to inf without a warning
+    if ratio > _MAX_STEPS:
+        raise ValueError(f"final time {t_final} takes more than {_MAX_STEPS} steps of tau {tau}")
+    n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 8 * np.spacing(max(1.0, ratio)):
         raise ValueError(f"final time {t_final} is not an integer multiple of tau {tau}")
-    return int(n)
+    return n
 
 
 def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
               monitor: bool = False, *, on_block=None):
     """Run ``t_final / tau`` steps from ``u0``; ``t_final = 0`` gives the
     report of the initial state alone.  On divergence the report is
-    truncated at the last finite step and flagged.
+    truncated at the last finite step and flagged.  Before any allocation,
+    a ``ValueError`` rejects a ``tau`` that is not positive and a ``t_final``
+    that is not ``n * tau`` (within 8 ulps) for a whole ``0 <= n <= 2**24``.
 
     ``tableau`` is one :class:`Tableau`, which gives one :class:`RunReport`,
     or a sequence of them sharing a stage count (see :class:`Ensemble`),
@@ -258,13 +265,10 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     """
     single = isinstance(tableau, Tableau)
     ensemble = Ensemble([tableau] if single else tableau)
-    if single:
-        hooks = [on_block]
-    else:
-        hooks = [None] * len(ensemble) if on_block is None else list(on_block)
+    hooks = [on_block] * len(ensemble) if single or on_block is None else list(on_block)
     if len(hooks) != len(ensemble):
         raise ValueError(f"{len(ensemble)} members need as many on_block hooks, got {len(hooks)}")
-    n_steps = 0 if t_final == 0 else _step_count(t_final, tau)
+    n_steps = _step_count(t_final, tau)
     members, s, m = len(ensemble), ensemble.stages, problem.op.m
     block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)) // members)
     ws = _StepWorkspace(problem, ensemble, tau, monitor, block * s + 1)

@@ -53,9 +53,9 @@ class SpectralOperator:
     bit for bit as ``scipy.fft.dst(v, type=1, norm="ortho")``.  Instances are
     immutable and thread-safe.
 
-    A caller that transforms many rows keeps its own buffers, from
-    ``odd_buffer`` and ``spectrum_buffer``, and runs ``transform_odd`` on
-    them; ``forward`` is that sequence on fresh buffers.
+    A caller that transforms many rows keeps buffers from ``odd_buffer`` (odd
+    extensions and their body) and ``spectrum_buffer``; ``transform_odd``
+    completes and transforms them, and ``forward`` does so on fresh ones.
     """
 
     def __init__(self, length: float, m: int):
@@ -70,12 +70,9 @@ class SpectralOperator:
         self.dst_scale = -0.5 * np.sqrt(2.0 / (m + 1))
 
     def odd_buffer(self, rows: tuple = ()) -> tuple:
-        """Zeroed odd extensions, shape ``rows + (2(m+1),)``, and the views
-        ``(body, tail)`` of them: a row ``v`` is written into ``body`` and
-        ``-v`` into ``tail``, which runs backwards."""
-        m = self.m
-        odd = np.zeros(tuple(rows) + (2 * m + 2,))
-        return odd, odd[..., 1:m + 1], odd[..., :m + 1:-1]
+        """Zeroed odd extensions, shape ``rows + (2(m+1),)``, and their body."""
+        odd = np.zeros(tuple(rows) + (2 * self.m + 2,))
+        return odd, odd[..., 1:self.m + 1]
 
     def spectrum_buffer(self, rows: tuple = ()) -> tuple:
         """Complex output rows for ``transform_odd``, and the view of them
@@ -84,17 +81,18 @@ class SpectralOperator:
         return spectrum, spectrum.imag[..., 1:self.m + 1]
 
     def transform_odd(self, odd: np.ndarray, out: np.ndarray) -> None:
-        """Transform the odd extensions ``odd`` into the spectrum rows
-        ``out``, whose coefficient view then holds their sine coefficients."""
+        """Complete the odd extensions ``odd``, writing ``-reversed(body)``
+        into their tails, and transform them into the spectrum rows ``out``,
+        whose coefficient view then holds their sine coefficients."""
+        np.negative(odd[..., 1:self.m + 1], out=odd[..., :self.m + 1:-1])
         _rfft_scaled(odd, self.dst_scale, out=out)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of ``v`` in the orthonormal sine basis, along the last
         axis (the rows of a 2-D ``v`` are transformed separately)."""
         rows = np.shape(v)[:-1]
-        odd, body, tail = self.odd_buffer(rows)
+        odd, body = self.odd_buffer(rows)
         body[...] = v
-        np.negative(body, out=tail)
         spectrum, coefficients = self.spectrum_buffer(rows)
         self.transform_odd(odd, spectrum)
         return coefficients

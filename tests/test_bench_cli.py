@@ -20,7 +20,7 @@ from eerk.bench import (
     write_csv,
 )
 from eerk.cli import main
-from eerk.dissipation import SingularDiagonalError, doc_kernels
+from eerk.dissipation import SingularDiagonalError, classify_method, doc_kernels
 from eerk.integrator import integrate
 from eerk.tableaux import butcher_diff, get_method
 
@@ -55,6 +55,14 @@ def test_load_config_defaults_lowest_precedence(tmp_path):
     cfg = load_config(cfgfile, {}, defaults={"T": "160", "ic": "bumps"})
     assert cfg.t_final == 4.0
     assert cfg.ic == "bumps"
+
+
+def test_load_config_off_switch_and_empty_method_chunk(tmp_path):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("method = etd1, , eerk2:c2=1\nmonitor = off\n")
+    cfg = load_config(cfgfile)
+    assert cfg.methods == ["etd1", "eerk2:c2=1"]
+    assert cfg.monitor is False
 
 
 def test_load_config_errors(tmp_path):
@@ -210,6 +218,9 @@ def test_convergence_error_matches_final_state_oracle():
 def test_run_convergence_rejects_misaligned_reference():
     with pytest.raises(ConfigError):
         run_convergence(small_cfg(ref_tau=0.03))
+    # both horizons are whole, 3 and 4 steps, but 4 is not a multiple of 3
+    with pytest.raises(ConfigError, match=r"^tau 0.02 is not an integer multiple of ref_tau 0.015$"):
+        run_convergence(small_cfg(taus=[0.02], t_final=0.06, ref_tau=0.015))
     with pytest.raises(ConfigError):
         run_convergence(small_cfg(t_final=0.0))
 
@@ -392,11 +403,50 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     ["analyze", "--method", "ho4", "--grid", "log:1e20:1e30:3"],
     ["rate", "--method", "ho4", "--grid", "lin:-1e160:-1e150:3"],
     ["analyze", "--method", "cm4", "--grid", "lin:-1e160:-1e150:3"],
+    ["analyze", "--method", "etd1", "--grid", "lin:-1:0:2:5"],
+    ["converge", "--method", "etd1", "--ref-method", "foo"],
+    ["energy", "--method", "etd1", "--T", "nan"],
+    ["energy", "--method", "etd1", "--T", "-1"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("h", ["0", "nan", "inf", "-1", "1e-300"])
+def test_cli_bad_spacing_is_named(h, capsys, tmp_path):
+    assert main(["energy", "--method", "etd1", "--h", h, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh spacing h=") and f"h={float(h)} " in err, err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_unwritable_csv_is_a_config_error(capsys, tmp_path):
+    (tmp_path / "etd1_energy.csv").mkdir()
+    code = main(["energy", "--method", "etd1", "--m", "7", "--tau", "0.1", "--T", "0.2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'etd1_energy.csv'}: ")
+
+
+def test_cli_analyze_prints_the_npd_witness(capsys):
+    assert main(["analyze", "--method", "etd3rk"]) == 0
+    w = classify_method(get_method("etd3rk")).witness
+    line = f"{'etd3rk':28s} NPD  witness z={w.z:.6g} minor {w.minor_index} = {w.minor_value:.6g}"
+    assert capsys.readouterr().out == line + "\n"
+    assert line.endswith("witness z=-1e-06 minor 3 = -8.87499")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_converge_divergence_exit_code(capsys):
+    code = main(["converge", "--method", "eerk2w:c2=1/10", "--kappa", "0.1", "--m", "63",
+                 "--ic", "bumps", "--tau", "2,1", "--T", "40", "--ref-method", "eerk2w:c2=1",
+                 "--ref-tau", "0.5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "divergence: eerk2w:c2=1/10 at tau=2.0 diverged at step 5\n"
+    assert captured.out == ""
 
 
 def test_cli_converge_zero_horizon_is_a_config_error(capsys, tmp_path):

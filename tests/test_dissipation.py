@@ -298,6 +298,13 @@ def test_eerk2_below_abscissa_threshold_is_npd(name, c2):
     assert c.witness.minor_index == 2
 
 
+def test_unknown_variant_is_rejected():
+    t = get_method("eerk2", c2="1/2")
+    for call in (differentiation_matrix, average_dissipation_rate, classify_method, scan_method):
+        with pytest.raises(ValueError, match="variant must be one of"):
+            call(t, Z_SET, "explicit")
+
+
 def test_classify_rejects_bad_grids():
     t = get_method("etd1")
     with pytest.raises(ValueError):

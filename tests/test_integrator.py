@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eerk.dissipation import differentiation_matrix
-from eerk.integrator import Ensemble, EnsembleReport, integrate
+from eerk.integrator import Ensemble, EnsembleReport, _step_count, integrate
 from eerk.phi import evaluate, phi
 from eerk.bench import initial_profile
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear
@@ -199,9 +199,44 @@ def test_single_step_run_and_bad_horizon():
     assert rep.n_steps == 0 and rep.margins is None and not rep.diverged
     assert rep.energies.tolist() == [p.energy(u0)]
     assert rep.sup_norms.tolist() == [np.max(np.abs(u0))]
+    assert rep.energy_law is None
+    assert integrate(p, get_method("etd1"), u0, 0.5, 1.0).energy_law is None
     assert np.array_equal(rep.final_state, u0)
     with pytest.raises(ValueError):
         integrate(p, get_method("etd1"), u0, -0.1, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bad_horizons_are_rejected_before_any_allocation(monkeypatch):
+    p = cahn_hilliard(m=24)
+    u0 = 0.2 * np.sin(p.op.x)
+
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("a workspace was built for a horizon that is rejected")
+
+    monkeypatch.setattr("eerk.integrator._StepWorkspace", no_workspace)
+    # 1e12 steps would take 7.28 TiB of series
+    with pytest.raises(ValueError, match=r"^final time 1.0 takes more than 16777216 steps of tau 1e-12$"):
+        integrate(p, get_method("etd1"), u0, 1e-12, 1.0)
+    for t_final in (float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match=rf"^final time {t_final} .* tau 0.5$"):
+            integrate(p, get_method("etd1"), u0, 0.5, t_final)
+    # numpy scalars whose quotient overflows
+    with pytest.raises(ValueError, match="takes more than 16777216 steps"):
+        integrate(p, get_method("etd1"), u0, np.float64(1e-300), np.float64(1e300))
+    for tau in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="step size must be positive"):
+            integrate(p, get_method("etd1"), u0, tau, 0.0)
+
+
+def test_step_count_cap_and_roundoff():
+    assert _step_count(0.0, 0.1) == 0
+    assert _step_count(0.3, 0.1) == 3  # 0.3 / 0.1 = 2.9999999999999996
+    assert _step_count(2**24 * 0.25, 0.25) == 2**24
+    with pytest.raises(ValueError, match="takes more than 16777216 steps"):
+        _step_count((2**24 + 1) * 0.25, 0.25)
+    with pytest.raises(ValueError, match="not an integer multiple"):
+        _step_count(0.3 + 1e-12, 0.1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

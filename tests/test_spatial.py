@@ -65,6 +65,21 @@ def test_forward_is_bit_identical_to_scipy_fft_dst(m):
         assert np.array_equal(op.forward(v), scipy.fft.dst(v, type=1, norm="ortho"))
 
 
+def test_transform_odd_completes_the_extensions():
+    # rows written into the body of run buffers transform as op.forward
+    # does, and the tails then hold their negated reverse
+    rng = np.random.default_rng(14)
+    op = build_laplacian_1d(4.0, 57)
+    v = rng.standard_normal((2, 3, 57))
+    odd, body = op.odd_buffer((2, 3))
+    spectrum, coefficients = op.spectrum_buffer((2, 3))
+    body[...] = v
+    op.transform_odd(odd, spectrum)
+    assert np.array_equal(coefficients, op.forward(v))
+    assert np.array_equal(odd, np.concatenate([np.zeros((2, 3, 1)), v, np.zeros((2, 3, 1)),
+                                               -v[..., ::-1]], axis=-1))
+
+
 def test_spectral_laplacian_matches_stencil():
     rng = np.random.default_rng(13)
     op = build_laplacian_1d(2 * np.pi, 64)
