@@ -2,8 +2,8 @@
 
 The package bundles:
 
-* numerically stable phi-function evaluation and symbolic tableau
-  coefficients (:mod:`eerk.phi`),
+* numerically stable phi-function evaluation and the algebra of tableau
+  coefficients over the leaf ``Phi(k, c) = phi_k(c z)`` (:mod:`eerk.phi`),
 * a catalog of EERK Butcher tableaux with parameterized abscissas, one
   table of names, builders and descriptions, the evaluation ``A(z)`` that
   every run-time path uses, and the symbolic Butcher-Diff form
@@ -31,7 +31,7 @@ from eerk.dissipation import (
     leading_principal_minors,
 )
 from eerk.integrator import Ensemble, EnsembleReport, RunReport, integrate
-from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, evaluate, phi
+from eerk.phi import Phi, phi
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator, StabilizedSemilinear
 from eerk.tableaux import (
     Tableau,
@@ -42,13 +42,7 @@ from eerk.tableaux import (
 
 __all__ = [
     "phi",
-    "evaluate",
-    "Const",
     "Phi",
-    "Sum",
-    "Product",
-    "Negate",
-    "PhiExpr",
     "Tableau",
     "get_method",
     "parse_method",

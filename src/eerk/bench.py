@@ -225,7 +225,7 @@ def _parse_bool(value: str) -> bool:
         return True
     if low in ("0", "false", "off", "no"):
         return False
-    raise ConfigError(f"cannot parse boolean {value!r}")
+    raise ValueError("expected 1/0, true/false, on/off or yes/no")
 
 
 def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
@@ -255,13 +255,15 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
             raw[key] = value
 
     cfg = ExperimentConfig()
-    try:
-        if "length" in raw:  # must precede a spacing-based mesh size
-            cfg.length = float(raw.pop("length"))
-            if not (math.isfinite(cfg.length) and cfg.length > 0):
-                raise ConfigError(f"interval length must be finite and positive, got {cfg.length}")
-        for key, value in raw.items():
-            if key == "method":
+    # length first: a spacing-based mesh size needs it
+    for key in sorted(raw, key=lambda k: k != "length"):
+        value = raw[key]
+        try:
+            if key == "length":
+                cfg.length = float(value)
+                if not (math.isfinite(cfg.length) and cfg.length > 0):
+                    raise ConfigError(f"interval length must be finite and positive, got {cfg.length}")
+            elif key == "method":
                 specs = value if isinstance(value, list) else [s for s in value.split(",") if s]
                 # commas inside parameter lists: rejoin chunks lacking '='
                 cfg.methods = _regroup_method_specs(specs)
@@ -272,11 +274,12 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
                 cfg.t_final = float(value)
             elif key == "h":
                 spacing = float(value)
-                # the mesh cap below, by h: round(x) - 1 is within it iff x < cap + 1.5
-                if not (0 < spacing < math.inf and cfg.length / spacing < _MAX_POINTS + 1.5):
+                points = cfg.length / spacing if 0 < spacing < math.inf else math.nan
+                # the mesh bounds below, by h: round(x) - 1 is within them iff 2.5 < x < cap + 1.5
+                if not 2.5 < points < _MAX_POINTS + 1.5:
                     raise ConfigError(f"mesh spacing h={spacing} must be finite, positive and give "
-                                      f"at most {_MAX_POINTS} interior points")
-                cfg.m = round(cfg.length / spacing) - 1
+                                      f"2 to {_MAX_POINTS} interior points")
+                cfg.m = round(points) - 1
             elif key in _FLOAT_KEYS:
                 setattr(cfg, key, float(value))
             elif key in _INT_KEYS:
@@ -289,10 +292,10 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
                 setattr(cfg, key, value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError(f"cannot parse {key}={value!r}: {exc}") from exc
     # at the upper end, a 5-stage monitored run's coefficient caches take 440 MB
     if not 2 <= cfg.m <= _MAX_POINTS:
         raise ConfigError(f"mesh must have 2 to {_MAX_POINTS} interior points, got {cfg.m}")

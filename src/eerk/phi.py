@@ -1,4 +1,5 @@
-"""Numerical evaluation of the phi functions and symbolic coefficient trees.
+"""Numerical evaluation of the phi functions and the algebra of tableau
+coefficients.
 
 The entire functions ``phi_0(z) = exp(z)`` and
 
@@ -10,10 +11,15 @@ numerator vanishes like ``z``), so :func:`phi` switches between a Taylor
 series for small ``|z|`` and an ``expm1``-seeded bottom-up recursion for
 large ``|z|``.
 
-Tableau coefficients such as ``c2*phi_1(c2*z)`` or the Cox-Matthews product
-``(1/2)*phi_1(z/2)*(exp(z/2) - 1)`` are represented as small immutable
-expression trees (:data:`PhiExpr`) over the scalar variable ``z``, with
-rational constants kept exact until evaluation.
+A tableau coefficient is an expression over the leaf :class:`Phi`, which
+stands for ``phi_k(c z)``: ``a + b``, ``a - b``, ``-a`` and ``w * a`` with an
+exact rational ``w`` build a weighted sum, and ``a * b`` a product, so the
+Cox-Matthews coefficient reads ``half * Phi(1, half) * (Phi(0, half) - one)``
+with the constant ``one = Phi(0, 0)``.  Any other operand is a ``TypeError``
+when the expression is built.  ``expr.at(z, basis)`` evaluates terms and
+factors left to right, multiplying only by a weight other than 1; ``basis``
+holds each ``phi_k(c z)`` already evaluated, so the caller makes one phi call
+per distinct leaf and none for a constant ``Phi(k, 0) = 1/k!``.
 """
 
 from __future__ import annotations
@@ -25,16 +31,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = [
-    "phi",
-    "Const",
-    "Phi",
-    "Sum",
-    "Product",
-    "Negate",
-    "PhiExpr",
-    "evaluate",
-]
+__all__ = ["phi", "Phi"]
 
 # Terms needed for the Taylor branch: worst case |z| ~ k <= 8 converges to
 # 1e-18 relative well inside this cap.
@@ -91,64 +88,74 @@ def phi(k: int, z) -> Union[float, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# Symbolic coefficient expressions
+# Coefficient expressions
 # --------------------------------------------------------------------------
 
 
+class _Expr:
+    def __add__(self, other):
+        return _append(self, 1, other)
+
+    def __sub__(self, other):
+        return _append(self, -1, other)
+
+    def __neg__(self):
+        return -1 * self
+
+    def __mul__(self, other):
+        if isinstance(other, _Expr):
+            return Product(self, other)
+        if isinstance(other, (int, Fraction)):
+            return Sum(((Fraction(other), self),))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+def _append(left: _Expr, weight: int, right):
+    # a left-hand sum is extended rather than nested: both add left to right
+    if not isinstance(right, _Expr):
+        return NotImplemented
+    terms = left.terms if isinstance(left, Sum) else ((Fraction(1), left),)
+    return Sum(terms + ((Fraction(weight), right),))
+
+
 @dataclass(frozen=True)
-class Const:
-    """A literal coefficient; kept as an exact ``Fraction`` when rational."""
-
-    value: Union[Fraction, float]
-
-
-@dataclass(frozen=True)
-class Phi:
-    """``phi_order(scale * z)``; ``scale`` is an abscissa in ``(0, 1]``."""
+class Phi(_Expr):
+    """``phi_order(scale * z)``; ``scale`` is an abscissa in ``(0, 1]``, or 0
+    for the constant ``phi_order(0) = 1/order!``."""
 
     order: int
     scale: Union[Fraction, float] = Fraction(1)
 
+    def at(self, z, basis: dict):
+        if self.scale == 0:
+            return 1 / math.factorial(self.order)
+        if self not in basis:
+            basis[self] = phi(self.order, float(self.scale) * z)
+        return basis[self]
+
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Expr):
+    """``w_1 e_1 + w_2 e_2 + ...`` for ``terms = ((w_1, e_1), ...)``."""
+
     terms: tuple
 
+    def at(self, z, basis: dict):
+        acc = None
+        for weight, term in self.terms:
+            value = term.at(z, basis)
+            if weight != 1:
+                value = float(weight) * value
+            acc = value if acc is None else acc + value
+        return acc
+
 
 @dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(_Expr):
+    left: _Expr
+    right: _Expr
 
-
-@dataclass(frozen=True)
-class Negate:
-    child: "PhiExpr"
-
-
-PhiExpr = Union[Const, Phi, Sum, Product, Negate]
-
-
-def evaluate(expr: PhiExpr, z) -> Union[float, np.ndarray]:
-    """Recursively evaluate an expression tree at ``z`` (scalar or array).
-
-    ``Phi`` nodes delegate to :func:`phi` with the scaled argument; constants
-    are converted to float only here.  Raises ``TypeError`` for objects that
-    are not expression nodes.
-    """
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Phi):
-        return phi(expr.order, float(expr.scale) * z)
-    if isinstance(expr, Sum):
-        acc = evaluate(expr.terms[0], z)
-        for term in expr.terms[1:]:
-            acc = acc + evaluate(term, z)
-        return acc
-    if isinstance(expr, Product):
-        acc = evaluate(expr.factors[0], z)
-        for factor in expr.factors[1:]:
-            acc = acc * evaluate(factor, z)
-        return acc
-    if isinstance(expr, Negate):
-        return -evaluate(expr.child, z)
-    raise TypeError(f"not a PhiExpr node: {expr!r}")
+    def at(self, z, basis: dict):
+        return self.left.at(z, basis) * self.right.at(z, basis)

@@ -1,10 +1,12 @@
 """Catalog of explicit exponential Runge-Kutta (EERK) Butcher tableaux.
 
 Every tableau is stored symbolically: entry ``(i, j)`` of the coefficient
-matrix ``A`` is the function ``a_{i+1,j}(z)`` as a :data:`~eerk.phi.PhiExpr`
-tree, with the weight row ``b_j = a_{s+1,j}`` stored as the last row of
-``A`` so downstream analysis needs no special casing.  Abscissas and
-rational coefficients are exact :class:`~fractions.Fraction` values.
+matrix ``A`` is the function ``a_{i+1,j}(z)``, written as in the papers with
+the operators of :mod:`eerk.phi` (``P(1) - 1 / c2 * P(2)`` for
+``phi_1(z) - phi_2(z)/c2``), and the weight row ``b_j = a_{s+1,j}`` is
+stored as the last row of ``A`` so downstream analysis needs no special
+casing.  Abscissas and rational coefficients are exact
+:class:`~fractions.Fraction` values.
 
 The catalog is one table, ``_CATALOG``: each name maps to its builder,
 whose parameters are the abscissas the method takes, and to the one-line
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from eerk.phi import Const, Negate, Phi, PhiExpr, Product, Sum, evaluate
+from eerk.phi import Phi as P
 
 __all__ = [
     "Tableau",
@@ -41,23 +43,8 @@ class MethodError(ValueError):
 
 
 F = Fraction
-_ZERO = Const(F(0))
-
-
-def _cp(coeff, order, scale=F(1)) -> PhiExpr:
-    """coeff * phi_order(scale * z), collapsing a unit coefficient."""
-    coeff = coeff if isinstance(coeff, Fraction) else F(coeff)
-    if coeff == 1:
-        return Phi(order, scale)
-    return Product((Const(coeff), Phi(order, scale)))
-
-
-def _add(*terms) -> PhiExpr:
-    return Sum(tuple(terms))
-
-
-def _sub(a, b) -> PhiExpr:
-    return Sum((a, Negate(b)))
+_ONE = P(0, F(0))
+_ZERO = 0 * _ONE
 
 
 @dataclass(frozen=True)
@@ -88,12 +75,14 @@ class Tableau:
 def coefficient_matrix(t, z) -> np.ndarray:
     """Evaluate the s x s coefficient matrix at ``z``: shape
     ``z.shape + (s, s)``, so ``(s, s)`` for scalar ``z`` and ``(n, s, s)``
-    for an ``(n,)`` array.  Strictly upper entries are zero."""
+    for an ``(n,)`` array.  Strictly upper entries are zero.  Each distinct
+    ``phi_k(c z)`` is evaluated once per call."""
     z = np.asarray(z, dtype=float)
     out = np.zeros(z.shape + (t.stages, t.stages))
+    basis = {}
     for i, row in enumerate(t.rows):
         for j, entry in enumerate(row):
-            out[..., i, j] = evaluate(entry, z)
+            out[..., i, j] = entry.at(z, basis)
     return out
 
 
@@ -104,8 +93,7 @@ def butcher_diff(t: Tableau) -> Tableau:
     rows = [t.rows[0]]
     for i in range(1, t.stages):
         prev, cur = t.rows[i - 1], t.rows[i]
-        row = tuple(_sub(cur[j], prev[j]) for j in range(i)) + (cur[i],)
-        rows.append(row)
+        rows.append(tuple(cur[j] - prev[j] for j in range(i)) + (cur[i],))
     return Tableau(name=t.name, params=t.params, c=t.c, rows=tuple(rows))
 
 
@@ -120,14 +108,14 @@ def _check_abscissa(name, value):
 
 
 def _etd1() -> Tableau:
-    return Tableau("etd1", (), (F(0), F(1)), ((Phi(1),),))
+    return Tableau("etd1", (), (F(0), F(1)), ((P(1),),))
 
 
 def _eerk2(c2: Fraction) -> Tableau:
     _check_abscissa("c2", c2)
     rows = (
-        (_cp(c2, 1, c2),),
-        (_sub(Phi(1), _cp(1 / c2, 2)), _cp(1 / c2, 2)),
+        (c2 * P(1, c2),),
+        (P(1) - 1 / c2 * P(2), 1 / c2 * P(2)),
     )
     return Tableau("eerk2", (("c2", c2),), (F(0), c2, F(1)), rows)
 
@@ -135,8 +123,8 @@ def _eerk2(c2: Fraction) -> Tableau:
 def _eerk2w(c2: Fraction) -> Tableau:
     _check_abscissa("c2", c2)
     rows = (
-        (_cp(c2, 1, c2),),
-        (_cp(1 - 1 / (2 * c2), 1), _cp(1 / (2 * c2), 1)),
+        (c2 * P(1, c2),),
+        ((1 - 1 / (2 * c2)) * P(1), 1 / (2 * c2) * P(1)),
     )
     return Tableau("eerk2w", (("c2", c2),), (F(0), c2, F(1)), rows)
 
@@ -144,9 +132,9 @@ def _eerk2w(c2: Fraction) -> Tableau:
 def _eerk2s(c2: Fraction) -> Tableau:
     _check_abscissa("c2", c2)
     rows = (
-        (_cp(c2, 1, c2),),
-        (_sub(Phi(1), _cp(1 / c2, 2)), _cp(1 / c2, 2)),
-        (_sub(Phi(1), Phi(2)), _ZERO, Phi(2)),
+        (c2 * P(1, c2),),
+        (P(1) - 1 / c2 * P(2), 1 / c2 * P(2)),
+        (P(1) - P(2), _ZERO, P(2)),
     )
     return Tableau("eerk2s", (("c2", c2),), (F(0), c2, F(1), F(1)), rows)
 
@@ -154,10 +142,11 @@ def _eerk2s(c2: Fraction) -> Tableau:
 def _eerk31(c2: Fraction) -> Tableau:
     _check_abscissa("c2", c2)
     c3 = F(2, 3)
+    a32 = F(4, 9) / c2 * P(2, c3)
     rows = (
-        (_cp(c2, 1, c2),),
-        (_sub(_cp(c3, 1, c3), _cp(F(4, 9) / c2, 2, c3)), _cp(F(4, 9) / c2, 2, c3)),
-        (_sub(Phi(1), _cp(F(3, 2), 2)), _ZERO, _cp(F(3, 2), 2)),
+        (c2 * P(1, c2),),
+        (c3 * P(1, c3) - a32, a32),
+        (P(1) - F(3, 2) * P(2), _ZERO, F(3, 2) * P(2)),
     )
     return Tableau("eerk31", (("c2", c2),), (F(0), c2, c3, F(1)), rows)
 
@@ -173,13 +162,13 @@ def _eerk32(c2: Fraction, c3: Fraction) -> Tableau:
         raise MethodError("eerk32 requires c3 != 2/3 (reduces to eerk31)")
     gamma = (3 * c3 - 2) * c3 / ((2 - 3 * c2) * c2)
     w = gamma * c2 + c3
-    a32 = _add(_cp(gamma * c2, 2, c2), _cp(c3 * c3 / c2, 2, c3))
-    b2 = _cp(gamma / w, 2)
-    b3 = _cp(1 / w, 2)
+    a32 = gamma * c2 * P(2, c2) + c3 * c3 / c2 * P(2, c3)
+    b2 = gamma / w * P(2)
+    b3 = 1 / w * P(2)
     rows = (
-        (_cp(c2, 1, c2),),
-        (_sub(_cp(c3, 1, c3), a32), a32),
-        (Sum((Phi(1), Negate(b2), Negate(b3))), b2, b3),
+        (c2 * P(1, c2),),
+        (c3 * P(1, c3) - a32, a32),
+        (P(1) - b2 - b3, b2, b3),
     )
     return Tableau("eerk32", (("c2", c2), ("c3", c3)), (F(0), c2, c3, F(1)), rows)
 
@@ -187,50 +176,38 @@ def _eerk32(c2: Fraction, c3: Fraction) -> Tableau:
 def _etd3rk() -> Tableau:
     half = F(1, 2)
     rows = (
-        (_cp(half, 1, half),),
-        (Negate(Phi(1)), _cp(2, 1)),
-        (
-            _add(_cp(4, 3), _cp(-3, 2), Phi(1)),
-            _add(_cp(-8, 3), _cp(4, 2)),
-            _sub(_cp(4, 3), Phi(2)),
-        ),
+        (half * P(1, half),),
+        (-P(1), 2 * P(1)),
+        (4 * P(3) - 3 * P(2) + P(1), -8 * P(3) + 4 * P(2), 4 * P(3) - P(2)),
     )
     return Tableau("etd3rk", (), (F(0), half, F(1), F(1)), rows)
 
 
 def _etd2cf3() -> Tableau:
     c2, c3 = F(1, 3), F(2, 3)
-    a32 = _cp(F(4, 3), 2, c3)
+    a32 = F(4, 3) * P(2, c3)
     rows = (
-        (_cp(c2, 1, c2),),
-        (_sub(_cp(c3, 1, c3), a32), a32),
-        (
-            _add(Phi(1), _cp(F(-9, 2), 2), _cp(9, 3)),
-            _sub(_cp(6, 2), _cp(18, 3)),
-            _add(_cp(F(-3, 2), 2), _cp(9, 3)),
-        ),
+        (c2 * P(1, c2),),
+        (c3 * P(1, c3) - a32, a32),
+        (P(1) - F(9, 2) * P(2) + 9 * P(3), 6 * P(2) - 18 * P(3), -F(3, 2) * P(2) + 9 * P(3)),
     )
     return Tableau("etd2cf3", (), (F(0), c2, c3, F(1)), rows)
 
 
 _B_ROW_4TH = (
-    _add(Phi(1), _cp(-3, 2), _cp(4, 3)),
-    _sub(_cp(2, 2), _cp(4, 3)),
-    _sub(_cp(2, 2), _cp(4, 3)),
-    _sub(_cp(4, 3), Phi(2)),
+    P(1) - 3 * P(2) + 4 * P(3),
+    2 * P(2) - 4 * P(3),
+    2 * P(2) - 4 * P(3),
+    4 * P(3) - P(2),
 )
 
 
 def _cm4() -> Tableau:
     half = F(1, 2)
     rows = (
-        (_cp(half, 1, half),),
-        (_ZERO, _cp(half, 1, half)),
-        (
-            Product((Const(half), Phi(1, half), Sum((Phi(0, half), Const(F(-1)))))),
-            _ZERO,
-            Phi(1, half),
-        ),
+        (half * P(1, half),),
+        (_ZERO, half * P(1, half)),
+        (half * P(1, half) * (P(0, half) - _ONE), _ZERO, P(1, half)),
         _B_ROW_4TH,
     )
     return Tableau("cm4", (), (F(0), half, half, F(1), F(1)), rows)
@@ -239,9 +216,9 @@ def _cm4() -> Tableau:
 def _krogstad4() -> Tableau:
     half = F(1, 2)
     rows = (
-        (_cp(half, 1, half),),
-        (_sub(_cp(half, 1, half), Phi(2, half)), Phi(2, half)),
-        (_sub(Phi(1), _cp(2, 2)), _ZERO, _cp(2, 2)),
+        (half * P(1, half),),
+        (half * P(1, half) - P(2, half), P(2, half)),
+        (P(1) - 2 * P(2), _ZERO, 2 * P(2)),
         _B_ROW_4TH,
     )
     return Tableau("krogstad4", (), (F(0), half, half, F(1), F(1)), rows)
@@ -250,36 +227,25 @@ def _krogstad4() -> Tableau:
 def _sw4() -> Tableau:
     half = F(1, 2)
     rows = (
-        (_cp(half, 1, half),),
-        (_sub(_cp(half, 1, half), _cp(half, 2, half)), _cp(half, 2, half)),
-        (_sub(Phi(1), _cp(2, 2)), _cp(-2, 2), _cp(4, 2)),
-        (
-            _add(Phi(1), _cp(-3, 2), _cp(4, 3)),
-            _ZERO,
-            _sub(_cp(4, 2), _cp(8, 3)),
-            _sub(_cp(4, 3), Phi(2)),
-        ),
+        (half * P(1, half),),
+        (half * P(1, half) - half * P(2, half), half * P(2, half)),
+        (P(1) - 2 * P(2), -2 * P(2), 4 * P(2)),
+        (P(1) - 3 * P(2) + 4 * P(3), _ZERO, 4 * P(2) - 8 * P(3), 4 * P(3) - P(2)),
     )
     return Tableau("sw4", (), (F(0), half, half, F(1), F(1)), rows)
 
 
 def _ho4() -> Tableau:
     half = F(1, 2)
-    a52 = _add(_cp(half, 2, half), Negate(Phi(3)), _cp(F(1, 4), 2), Negate(_cp(half, 3, half)))
-    a54 = _sub(_cp(F(1, 4), 2, half), a52)
-    a51 = Sum((_cp(half, 1, half), Negate(Product((Const(F(2)), a52))), Negate(a54)))
+    a52 = half * P(2, half) - P(3) + F(1, 4) * P(2) - half * P(3, half)
+    a54 = F(1, 4) * P(2, half) - a52
+    a51 = half * P(1, half) - 2 * a52 - a54
     rows = (
-        (_cp(half, 1, half),),
-        (_sub(_cp(half, 1, half), Phi(2, half)), Phi(2, half)),
-        (_sub(Phi(1), _cp(2, 2)), Phi(2), Phi(2)),
+        (half * P(1, half),),
+        (half * P(1, half) - P(2, half), P(2, half)),
+        (P(1) - 2 * P(2), P(2), P(2)),
         (a51, a52, a52, a54),
-        (
-            _add(Phi(1), _cp(-3, 2), _cp(4, 3)),
-            _ZERO,
-            _ZERO,
-            _sub(_cp(4, 3), Phi(2)),
-            _sub(_cp(4, 2), _cp(8, 3)),
-        ),
+        (P(1) - 3 * P(2) + 4 * P(3), _ZERO, _ZERO, 4 * P(3) - P(2), 4 * P(2) - 8 * P(3)),
     )
     return Tableau("ho4", (), (F(0), half, half, F(1), half, F(1)), rows)
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.fft
 
 from eerk.dissipation import doc_kernels
-from eerk.phi import Phi, evaluate
+from eerk.phi import phi
 from eerk.spatial import SpectralOperator
 from eerk.tableaux import MethodError, Tableau, coefficient_matrix
 
@@ -194,30 +194,30 @@ def verify_order_conditions(t: Tableau, target_order: int, z_grid, tol: float = 
     a = coefficient_matrix(t, zarr)
     s = t.stages
     c = [float(v) for v in t.c]
-    p1 = evaluate(Phi(1), zarr)
-    p2 = evaluate(Phi(2), zarr)
+    p1 = phi(1, zarr)
+    p2 = phi(2, zarr)
 
     if s == 2 and target_order == 2:
         residuals = [
             ("weights_phi1", a[:, 1, 0] + a[:, 1, 1] - p1),
             ("weights_abscissa_phi2", a[:, 1, 1] * c[1] - p2),
-            ("second_stage_consistency", a[:, 0, 0] - c[1] * evaluate(Phi(1, t.c[1]), zarr)),
+            ("second_stage_consistency", a[:, 0, 0] - c[1] * phi(1, float(t.c[1]) * zarr)),
         ]
     elif s == 3 and target_order in (2, 3):
         b = a[:, 2, :]
         residuals = [
             ("weights_phi1", b[:, 0] + b[:, 1] + b[:, 2] - p1),
             ("weights_abscissa_phi2", b[:, 1] * c[1] + b[:, 2] * c[2] - p2),
-            ("second_stage_consistency", a[:, 0, 0] - c[1] * evaluate(Phi(1, t.c[1]), zarr)),
-            ("third_stage_consistency", a[:, 1, 0] + a[:, 1, 1] - c[2] * evaluate(Phi(1, t.c[2]), zarr)),
+            ("second_stage_consistency", a[:, 0, 0] - c[1] * phi(1, float(t.c[1]) * zarr)),
+            ("third_stage_consistency", a[:, 1, 0] + a[:, 1, 1] - c[2] * phi(1, float(t.c[2]) * zarr)),
         ]
         if target_order == 3:
-            p3 = evaluate(Phi(3), zarr)
-            psi23 = c[2] ** 2 * evaluate(Phi(2, t.c[2]), zarr) - c[1] * a[:, 1, 1]
+            p3 = phi(3, zarr)
+            psi23 = c[2] ** 2 * phi(2, float(t.c[2]) * zarr) - c[1] * a[:, 1, 1]
             residuals += [
                 ("weights_abscissa_sq_phi3", b[:, 1] * c[1] ** 2 + b[:, 2] * c[2] ** 2 - 2 * p3),
                 ("stage_defect_orthogonality",
-                 b[:, 1] * c[1] ** 2 * evaluate(Phi(2, t.c[1]), zarr) + b[:, 2] * psi23),
+                 b[:, 1] * c[1] ** 2 * phi(2, float(t.c[1]) * zarr) + b[:, 2] * psi23),
             ]
     else:
         raise MethodError(

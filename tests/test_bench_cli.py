@@ -422,6 +422,26 @@ def test_cli_bad_spacing_is_named(h, capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args,named", [
+    (["--h", "10"], "h=10.0 "),
+    (["--tau", "abc"], "tau='abc'"),
+    (["--m", "2.5"], "m='2.5'"),
+    (["--eps", "x"], "eps='x'"),
+    (["--T", "1e"], "T='1e'"),
+    (["--config", "monitor = perhaps"], "monitor='perhaps'"),
+], ids=["coarse-h", "tau", "m", "eps", "T", "config-monitor"])
+def test_cli_config_errors_name_key_and_value(args, named, capsys, tmp_path):
+    if args[0] == "--config":
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(args[1] + "\n")
+        args = ["--config", str(cfgfile)]
+    out = tmp_path / "out"
+    assert main(["energy", "--method", "etd1", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert not out.exists()
+
+
 def test_cli_unwritable_csv_is_a_config_error(capsys, tmp_path):
     (tmp_path / "etd1_energy.csv").mkdir()
     code = main(["energy", "--method", "etd1", "--m", "7", "--tau", "0.1", "--T", "0.2",

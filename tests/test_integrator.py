@@ -7,10 +7,10 @@ import pytest
 
 from eerk.dissipation import differentiation_matrix
 from eerk.integrator import Ensemble, EnsembleReport, _step_count, integrate
-from eerk.phi import evaluate, phi
+from eerk.phi import phi
 from eerk.bench import initial_profile
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear
-from eerk.tableaux import get_method
+from eerk.tableaux import coefficient_matrix, get_method
 from oracles import apply, apply_stencil, apply_values, build_laplacian_1d, g_stabilized, inner
 
 
@@ -272,7 +272,8 @@ def _physical_stage_loop(p, tableau, u0, tau, n_steps):
     # state, and each stage forms L((1 + kappa) U - U^3) with the stencil
     op, kappa = p.op, p.kind.kappa
     tau_mu = tau * p.spectral_shift(op.eigenvalues)
-    coeff = [[evaluate(entry, -tau_mu) for entry in row] for row in tableau.rows]
+    a = coefficient_matrix(tableau, -tau_mu)
+    coeff = [[a[:, i, j] for j in range(i + 1)] for i in range(tableau.stages)]
     u = u0.copy()
     for _ in range(n_steps):
         u1_hat = op.forward(u)
@@ -341,10 +342,7 @@ def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
     op = p.op
     tau_mu = tau * p.spectral_shift(op.eigenvalues)
     s = tableau.stages
-    a = np.zeros((s, s, op.m))
-    for i, row in enumerate(tableau.rows):
-        for j, entry in enumerate(row):
-            a[i, j] = evaluate(entry, -tau_mu)
+    a = np.moveaxis(coefficient_matrix(tableau, -tau_mu), 0, -1)
     b = 1.0 - tau_mu * a.sum(axis=1)
     weight = op.h / op.eigenvalues if p.metric == "hminus1" else op.h
     dmats = np.moveaxis(differentiation_matrix(tableau, -tau_mu), 0, -1) * weight

@@ -1,4 +1,4 @@
-"""Tests for phi-function evaluation and coefficient expression trees."""
+"""Tests for phi-function evaluation and the coefficient algebra."""
 
 import math
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eerk.phi import Const, Negate, Phi, Product, Sum, evaluate, phi
+from eerk.phi import Phi, phi
 
 # Reference values computed beforehand with a 50-digit mpmath evaluation of
 # the recursion seeded by exp; frozen here so the test stays independent of
@@ -111,41 +111,44 @@ def test_domain_errors():
 
 
 # --------------------------------------------------------------------------
-# Expression trees
+# Coefficient algebra
 # --------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+ONE = Phi(0, Fraction(0))
 
 
 def test_expr_product_composition_oracle():
     # (1/2) * phi_1(z/2) * (phi_0(z/2) - 1) at z = -2 equals
     # (1/2) * phi_1(-1) * (exp(-1) - 1); value frozen from a 50-digit check.
-    e = Product((
-        Const(Fraction(1, 2)),
-        Phi(1, Fraction(1, 2)),
-        Sum((Phi(0, Fraction(1, 2)), Const(Fraction(-1)))),
-    ))
-    assert evaluate(e, -2.0) == pytest.approx(-0.199788200446864024351476, rel=1e-14)
+    e = HALF * Phi(1, HALF) * (Phi(0, HALF) - ONE)
+    assert e.at(-2.0, {}) == pytest.approx(-0.199788200446864024351476, rel=1e-14)
 
 
 def test_expr_sum_at_zero():
-    e = Sum((Phi(1), Negate(Phi(2))))
-    assert evaluate(e, 0.0) == pytest.approx(0.5, rel=1e-15)
+    e = Phi(1) - Phi(2)
+    assert e.at(0.0, {}) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_expr_second_order_weight_at_zero():
     # the (1/c2)*phi_2 weight with c2 = 1 evaluates to phi_2(0) = 1/2
-    e = Product((Const(Fraction(1, 1)), Phi(2, Fraction(1))))
-    assert evaluate(e, 0.0) == pytest.approx(0.5, rel=1e-15)
+    e = Fraction(1, 1) * Phi(2, Fraction(1))
+    assert e.at(0.0, {}) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_expr_vector_evaluation():
-    e = Sum((Product((Const(Fraction(3)), Phi(0))), Negate(Phi(1))))
+    e = 3 * Phi(0) - Phi(1)
     z = np.array([-2.0, -0.5, 0.0])
-    got = evaluate(e, z)
+    got = e.at(z, {})
     want = 3.0 * np.exp(z) - phi(1, z)
     assert np.allclose(got, want, rtol=0, atol=1e-15)
-    assert evaluate(e, -2.0) == pytest.approx(got[0])
+    assert e.at(-2.0, {}) == pytest.approx(got[0])
 
 
 def test_expr_rejects_malformed_tree():
-    with pytest.raises(TypeError):
-        evaluate("phi", 0.0)  # type: ignore[arg-type]
+    # a weight is an exact rational and a term an expression, checked when
+    # the expression is built
+    for build in (lambda: Phi(1) + 2.0, lambda: 2.0 + Phi(1), lambda: Phi(1) - "phi",
+                  lambda: 0.5 * Phi(1), lambda: Phi(1) * 0.5, lambda: np.float64(2) * Phi(1)):
+        with pytest.raises(TypeError):
+            build()

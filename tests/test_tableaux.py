@@ -1,10 +1,12 @@
 """Tests for the EERK tableau catalog and coefficient identities."""
 
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from eerk.dissipation import default_z_grid
 from eerk.phi import phi
 from eerk.tableaux import (
     MethodError,
@@ -88,6 +90,38 @@ def test_ho4_derived_entries(z):
     assert a[3, 1] == pytest.approx(a52, rel=1e-12, abs=1e-15)
     assert a[3, 2] == pytest.approx(a52, rel=1e-12, abs=1e-15)
     assert a[3, 3] == pytest.approx(0.25 * phi(2, z / 2) - a52, rel=1e-12, abs=1e-15)
+
+
+def test_coefficients_evaluate_in_their_written_order():
+    # each entry is its formula's phi arithmetic, term by term from the left
+    # with a multiply only for a weight other than 1, so A(z) is pinned to
+    # the bit
+    z = default_z_grid()
+    a = coefficient_matrix(get_method("ho4"), z)
+    a52 = 0.5 * phi(2, 0.5 * z) - phi(3, z) + 0.25 * phi(2, z) - 0.5 * phi(3, 0.5 * z)
+    a54 = 0.25 * phi(2, 0.5 * z) - a52
+    assert np.array_equal(a[:, 3, 0], 0.5 * phi(1, 0.5 * z) - 2.0 * a52 - a54)
+    assert np.array_equal(a[:, 3, 3], a54)
+    c2, c3 = F(1, 2), F(7, 10)
+    gamma = (3 * c3 - 2) * c3 / ((2 - 3 * c2) * c2)
+    w = gamma * c2 + c3
+    a = coefficient_matrix(get_method("eerk32", c2=c2, c3=c3), z)
+    want = phi(1, z) - float(gamma / w) * phi(2, z) - float(1 / w) * phi(2, z)
+    assert np.array_equal(a[:, 2, 0], want)
+    a = coefficient_matrix(get_method("cm4"), z)
+    assert np.array_equal(a[:, 2, 0], 0.5 * phi(1, 0.5 * z) * (phi(0, 0.5 * z) - 1.0))
+
+
+@pytest.mark.parametrize("spec,calls", [
+    ("ho4", 6), ("cm4", 5), ("eerk32:c2=1/2,c3=7/10", 6), ("eerk31:c2=4/9", 5),
+    ("eerk2w:c2=3/11", 2)])
+def test_each_basis_function_is_evaluated_once(spec, calls, monkeypatch):
+    # one phi call per distinct phi_k(c z) with c > 0, and none for a
+    # constant, however often a formula repeats it
+    seen = []
+    monkeypatch.setattr(sys.modules["eerk.phi"], "phi", lambda k, z: seen.append(k) or phi(k, z))
+    coefficient_matrix(parse_method(spec), default_z_grid())
+    assert len(seen) == calls
 
 
 def test_coefficient_matrix_batched_matches_scalar():
