@@ -24,7 +24,7 @@ import numpy as np
 
 from eerk.dissipation import (
     average_dissipation_rate,
-    classify_method,
+    classify_method,  # not called here; perfbench's CallTimer wraps bench.classify_method
     default_z_grid,
     scan_method,
 )
@@ -115,6 +115,7 @@ def initial_profile(name: str, x: np.ndarray) -> np.ndarray:
 
 # largest mesh and largest z-grid chunk: 8 MB per vector
 _MAX_POINTS = 2**20
+_LENGTH = 2.0 * np.pi  # the interval is (0, 2*pi)
 
 
 def parse_z_grid(spec: str) -> np.ndarray:
@@ -152,7 +153,6 @@ class ExperimentConfig:
     methods: list = field(default_factory=list)
     eps: float = 0.2
     kappa: float = 2.0
-    length: float = 2.0 * np.pi
     m: int = 639
     ic: str = "sine"
     taus: list = field(default_factory=lambda: [0.01, 0.005, 0.0025, 0.00125])
@@ -176,7 +176,7 @@ class ExperimentConfig:
         # whether eps and kappa are admissible depends on the spectrum
         try:
             return Problem(
-                SpectralOperator(self.length, self.m),
+                SpectralOperator(_LENGTH, self.m),
                 CahnHilliard(eps=self.eps, kappa=self.kappa),
             )
         except ValueError as exc:
@@ -232,9 +232,11 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     """Build a config from a key=value file plus override mapping.
 
     Recognized keys: ``method`` (comma-separated specs), ``eps``, ``kappa``,
-    ``length``, ``m``, ``h``, ``ic``, ``tau`` (comma-separated), ``T``,
-    ``grid``, ``out``, ``monitor``, ``ref_method``, ``ref_tau``,
-    ``implicit``.  Precedence: ``defaults`` < file entries < ``overrides``.
+    ``m``, ``h``, ``ic``, ``tau`` (comma-separated), ``T``, ``grid``,
+    ``out``, ``monitor``, ``ref_method``, ``ref_tau``, ``implicit``.  Every
+    value is a string, as in the file; ``monitor`` and ``implicit`` take
+    1/0, true/false, on/off or yes/no.  Precedence: ``defaults`` < file
+    entries < ``overrides`` (a ``None`` override is skipped).
     """
     raw = dict(defaults or {})
     if path is not None:
@@ -255,26 +257,18 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
             raw[key] = value
 
     cfg = ExperimentConfig()
-    # length first: a spacing-based mesh size needs it
-    for key in sorted(raw, key=lambda k: k != "length"):
-        value = raw[key]
+    for key, value in raw.items():
         try:
-            if key == "length":
-                cfg.length = float(value)
-                if not (math.isfinite(cfg.length) and cfg.length > 0):
-                    raise ConfigError(f"interval length must be finite and positive, got {cfg.length}")
-            elif key == "method":
-                specs = value if isinstance(value, list) else [s for s in value.split(",") if s]
+            if key == "method":
                 # commas inside parameter lists: rejoin chunks lacking '='
-                cfg.methods = _regroup_method_specs(specs)
+                cfg.methods = _regroup_method_specs(value.split(","))
             elif key == "tau":
-                items = value if isinstance(value, list) else value.split(",")
-                cfg.taus = [float(v) for v in items]
+                cfg.taus = [float(v) for v in value.split(",")]
             elif key == "T":
                 cfg.t_final = float(value)
             elif key == "h":
                 spacing = float(value)
-                points = cfg.length / spacing if 0 < spacing < math.inf else math.nan
+                points = _LENGTH / spacing if 0 < spacing < math.inf else math.nan
                 # the mesh bounds below, by h: round(x) - 1 is within them iff 2.5 < x < cap + 1.5
                 if not 2.5 < points < _MAX_POINTS + 1.5:
                     raise ConfigError(f"mesh spacing h={spacing} must be finite, positive and give "
@@ -285,14 +279,14 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
             elif key in _INT_KEYS:
                 setattr(cfg, key, int(value))
             elif key in _BOOL_KEYS:
-                setattr(cfg, key, value if isinstance(value, bool) else _parse_bool(value))
+                setattr(cfg, key, _parse_bool(value))
             elif key == "out":
                 cfg.out = Path(value)
             elif key in ("ic", "grid", "ref_method"):
                 setattr(cfg, key, value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"cannot parse {key}={value!r}: {exc}") from exc
@@ -465,7 +459,8 @@ def run_energy(cfg: ExperimentConfig):
 
 
 def run_analysis(cfg: ExperimentConfig):
-    """Classify each method on the z grid and emit its minor curves."""
+    """Classify each method on the z grid from one scan, which with an
+    output directory also gives its minor curves."""
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
     variant = "implicit" if cfg.implicit else "standard"
@@ -473,17 +468,16 @@ def run_analysis(cfg: ExperimentConfig):
     results = {}
     summary_rows = []
     for t in tableaux:
-        verdict = classify_method(t, z_grid=grid, variant=variant)
+        z, rate, minors, verdict = scan_method(t, z_grid=grid, variant=variant)
+        if cfg.out is not None:
+            header = ["z", "rate"] + [f"minor_{j}" for j in range(1, t.stages + 1)]
+            rows = [(z[i], rate[i], *minors[i]) for i in range(len(z))]
+            write_csv(cfg.out / f"{_slug(t.label)}_minors.csv", header, rows)
         results[t.label] = verdict
         w = verdict.witness
         summary_rows.append((t.label, verdict.verdict,
                              w.z if w else "", w.minor_index if w else "",
                              w.minor_value if w else ""))
-        if cfg.out is not None:
-            z, rate, minors = scan_method(t, z_grid=grid, variant=variant)
-            header = ["z", "rate"] + [f"minor_{j}" for j in range(1, t.stages + 1)]
-            rows = [(z[i], rate[i], *minors[i]) for i in range(len(z))]
-            write_csv(cfg.out / f"{_slug(t.label)}_minors.csv", header, rows)
     if cfg.out is not None:
         write_csv(cfg.out / "classification.csv",
                   ["method", "verdict", "witness_z", "witness_minor", "witness_value"],

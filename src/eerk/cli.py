@@ -36,7 +36,7 @@ _EXIT_CONFIG = 2
 _EXIT_DIVERGENCE = 3
 
 def _add_common(sub):
-    sub.add_argument("--method", action="append", dest="methods",
+    sub.add_argument("--method", action="append", dest="method",
                      metavar="SPEC", help="method spec; repeatable")
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--out", help="output directory for CSV files")
@@ -87,11 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    """Config overrides from the flags given on the command line."""
+    """Config overrides, as strings, from the flags given on the command
+    line: repeated ``--method`` values joined by commas, switches ``on``."""
     out = {}
     for key, value in vars(args).items():
         if key not in ("command", "config") and value is not None and value is not False:
-            out[key if key != "methods" else "method"] = value
+            out[key] = ",".join(value) if key == "method" else "on" if value is True else value
     return out
 
 

@@ -194,13 +194,17 @@ def _scan(t: Tableau, z, variant: str) -> tuple:
     return np.trace(d, axis1=-2, axis2=-1) / t.stages, minors, below
 
 
-def classify_method(t: Tableau, z_grid=None, variant: str = "standard") -> Classification:
-    """Scan the grid for negative leading principal minors of ``S(D; z)``.
+def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):
+    """Rates, minors and the classification over a sorted grid of
+    ``z <= 0``: ``(z, rate, minors, classification)``, the arrays with
+    shapes ``(n,)``, ``(n,)``, ``(n, s)`` (one CSV row per grid point), all
+    from one ``D(z)``.
 
     The tolerance scales with the matrix magnitude: minor ``j`` must stay
     above ``-_TOL * max(1, max_k |S_kk|)^j``.  On failure the witness is the
     smallest-|z| violating grid point, sharpened by 20 bisection steps
-    toward the adjacent passing point.
+    toward the adjacent passing point.  Raises
+    :class:`SingularDiagonalError` where a minor is not finite.
     """
     grid = default_z_grid() if z_grid is None else np.sort(np.asarray(z_grid, dtype=float))
     if grid.size == 0:
@@ -208,9 +212,10 @@ def classify_method(t: Tableau, z_grid=None, variant: str = "standard") -> Class
     if np.any(grid > 0.0):
         raise ValueError("classification grid must satisfy z <= 0")
 
-    violating = np.any(_scan(t, grid, variant)[2], axis=-1)
+    rate, minors, below = _scan(t, grid, variant)
+    violating = np.any(below, axis=-1)
     if not np.any(violating):
-        return Classification("PSD-on-grid", None)
+        return grid, rate, minors, Classification("PSD-on-grid", None)
 
     idx = int(np.max(np.nonzero(violating)[0]))  # ascending grid: largest z
     z_fail = float(grid[idx])
@@ -222,16 +227,11 @@ def classify_method(t: Tableau, z_grid=None, variant: str = "standard") -> Class
                 z_fail = mid
             else:
                 z_pass = mid
-    _, minors, below = _scan(t, z_fail, variant)
-    j = int(np.argmax(below))  # the first violating minor
-    return Classification("NPD", Witness(z_fail, j + 1, float(minors[j])))
+    _, w_minors, w_below = _scan(t, z_fail, variant)
+    j = int(np.argmax(w_below))  # the first violating minor
+    return grid, rate, minors, Classification("NPD", Witness(z_fail, j + 1, float(w_minors[j])))
 
 
-def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):
-    """Rates and minors over a grid: ``(z, rate, minors)`` arrays with
-    shapes ``(n,)``, ``(n,)``, ``(n, s)`` (one CSV row per grid point),
-    all from one ``D(z)``.  Raises :class:`SingularDiagonalError` where a
-    minor is not finite, as :func:`classify_method` does."""
-    grid = default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    rate, minors, _ = _scan(t, grid, variant)
-    return grid, rate, minors
+def classify_method(t: Tableau, z_grid=None, variant: str = "standard") -> Classification:
+    """The classification of :func:`scan_method`, without its curves."""
+    return scan_method(t, z_grid, variant)[3]

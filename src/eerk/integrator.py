@@ -48,12 +48,12 @@ stage energy inequality
     E[U^{j+1}] - E[U^1]  <=  -(1/tau) * sum_{k<=j} <dU^{k+1},
                                 sum_{l<=k} d_{kl}(-tau*mu) dU^{l+1}>
 
-in the problem's metric (H^{-1} for Cahn-Hilliard, L^2 otherwise), where
+in the problem's ``weight`` (H^{-1} for Cahn-Hilliard, L^2 otherwise), where
 ``dU^{i+1} = U^{i+1} - U^i`` and ``d_{kl}`` is the differentiation matrix
 per eigenvalue, built from the same evaluated ``a_{i+1,j}`` as the
 coefficient cache.  Every term is diagonal in the sine basis, so the
 quadratic forms of a member's block are one contraction of its
-metric-weighted ``(s, s, m)`` cache of ``d_{kl}`` with the coefficient
+weighted ``(s, s, m)`` cache of ``d_{kl}`` with the coefficient
 increments, and a cumulative sum.  Nonnegative margins certify that the
 inequality held for that step.
 """
@@ -110,24 +110,23 @@ class _StepWorkspace:
         self.tau = float(tau)
         op = problem.op
         members, m, s = len(ensemble), op.m, ensemble.stages
-        tau_mu = self.tau * problem.spectral_shift(op.eigenvalues)
+        tau_mu = self.tau * problem.mu
         # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s],
         # g_j = factor * DST(N(U^j)) with N the physical-space nonlinearity:
         # column 0 holds b_i, column j the folded tau a_{i+1,j} * factor
         self.coeff = np.empty((members, s, s + 1, m))
         self.dmats = np.empty((members, s, s, m)) if monitor else None
-        weight = op.h / op.eigenvalues if problem.metric == "hminus1" else op.h
         for b, tableau in enumerate(ensemble):
             # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the one
             # evaluation of the tableau in a run
             a_z = coefficient_matrix(tableau, -tau_mu)
             a = np.ascontiguousarray(np.moveaxis(a_z, 0, -1))
             self.coeff[b, :, 0] = 1.0 - tau_mu * a.sum(axis=1)
-            self.coeff[b, :, 1:] = self.tau * a * problem.nonlinearity_factor
+            self.coeff[b, :, 1:] = self.tau * a * problem.factor
             if monitor:
-                # d_{kl}(z), zero above the diagonal, times the metric weight
+                # d_{kl}(z), zero above the diagonal, times the inner-product weight
                 d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
-                self.dmats[b] = np.moveaxis(d, 0, -1) * weight
+                self.dmats[b] = np.moveaxis(d, 0, -1) * problem.weight
         # both transforms of a stage are op.forward done in run buffers: the
         # stage buffers hold the physical rows and the odd extensions of
         # their sine coefficients, and the nonlinearity of a stage is written

@@ -16,15 +16,18 @@ numpy alone.
 * ``StabilizedSemilinear(kappa, g)``: the stiff operator is ``L + kappa I``
   with nonlinearity ``g(u) + kappa u`` in the plain L^2 setting.
 
-The stabilized nonlinearity has the sine coefficients
-``nonlinearity_factor * op.forward(nonlinearity(u))``: ``nonlinearity`` is
-its physical-space part, the form the stage loop transforms, and
+A ``Problem`` fixes its spectral maps once, over the eigenvalues: ``mu``,
+those of the stiff operator; ``factor`` (``L`` for Cahn-Hilliard, 1
+otherwise), which takes the sine coefficients of ``nonlinearity(u)``, the
+physical-space part the stage loop transforms, to those of the stabilized
+nonlinearity; and ``weight`` (``h/L`` for H^{-1}, ``h`` for L^2), the
+quadrature weight of its inner product in sine coefficients.
 ``Problem.energy`` takes the stiff part of an energy from sine coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -97,9 +100,6 @@ class SpectralOperator:
         self.transform_odd(odd, spectrum)
         return coefficients
 
-    # the orthonormal sine transform is its own inverse
-    inverse = forward
-
 
 @dataclass(frozen=True)
 class CahnHilliard:
@@ -126,27 +126,27 @@ class StabilizedSemilinear:
 class Problem:
     op: SpectralOperator
     kind: Union[CahnHilliard, StabilizedSemilinear]
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
+    factor: Union[np.ndarray, float] = field(init=False, repr=False, compare=False)
+    weight: Union[np.ndarray, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.kind, CahnHilliard) and not self.kind.eps >= 0:
-            raise ValueError(f"interface width must be nonnegative, got {self.kind.eps}")
+        lam, kind = self.op.eigenvalues, self.kind
         # a non-finite or overflowing eps or kappa makes the map non-finite
         with np.errstate(over="ignore", invalid="ignore"):
-            mu = self.spectral_shift(self.op.eigenvalues)
+            if isinstance(kind, CahnHilliard):
+                if not kind.eps >= 0:
+                    raise ValueError(f"interface width must be nonnegative, got {kind.eps}")
+                # eps * eps overflows to inf where eps**2 raises OverflowError
+                mu = kind.eps * kind.eps * lam**2 + kind.kappa * lam
+                factor, weight = lam, self.op.h / lam
+            else:
+                mu = lam + kind.kappa
+                factor, weight = 1.0, self.op.h
         if not np.all(np.isfinite(mu) & (mu > 0)):
             raise ValueError("stiff spectral map must be finite and positive on the spectrum")
-
-    @property
-    def metric(self) -> str:
-        """Inner product of energies and stage-law monitoring, fixed by the kind."""
-        return "hminus1" if isinstance(self.kind, CahnHilliard) else "l2"
-
-    def spectral_shift(self, lam):
-        """Eigenvalue map of the stabilized stiff operator."""
-        if isinstance(self.kind, CahnHilliard):
-            # eps * eps overflows to inf where eps**2 raises OverflowError
-            return self.kind.eps * self.kind.eps * lam**2 + self.kind.kappa * lam
-        return lam + self.kind.kappa
+        for name, value in (("mu", mu), ("factor", factor), ("weight", weight)):
+            object.__setattr__(self, name, value)
 
     def nonlinearity(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Physical-space part of the stabilized nonlinearity at the state
@@ -157,13 +157,6 @@ class Problem:
             np.subtract(1.0 + self.kind.kappa, out, out=out)
             return np.multiply(out, u, out=out)
         return np.add(self.kind.g(u), self.kind.kappa * u, out=out)
-
-    @property
-    def nonlinearity_factor(self):
-        """Eigenvalue-wise factor that takes the sine coefficients of
-        ``nonlinearity(u)`` to those of the stabilized nonlinearity: ``L``
-        for Cahn-Hilliard, 1 otherwise."""
-        return self.op.eigenvalues if isinstance(self.kind, CahnHilliard) else 1.0
 
     def energy(self, v: np.ndarray, v_hat: Optional[np.ndarray] = None):
         """Discrete free energy ``(stiff quadratic)/2 + h * sum G(v)``.

@@ -69,7 +69,7 @@ def inner(op, u, v, metric="l2"):
 
 def g_stabilized(problem, u):
     """Sine coefficients of the stabilized nonlinearity at the state ``u``."""
-    return problem.nonlinearity_factor * _dst(problem.nonlinearity(u))
+    return problem.factor * _dst(problem.nonlinearity(u))
 
 
 # --------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_criterion_10_property_suites():
 
     # transform round trip
     v = rng.standard_normal(48)
-    if np.max(np.abs(op.inverse(op.forward(v)) - v)) > 1e-12:
+    if np.max(np.abs(op.forward(op.forward(v)) - v)) > 1e-12:
         failures.append("round trip")
 
     # spectral composition

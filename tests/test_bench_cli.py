@@ -19,6 +19,7 @@ from eerk.bench import (
     run_rate,
     write_csv,
 )
+import eerk.dissipation as dissipation
 from eerk.cli import main
 from eerk.dissipation import SingularDiagonalError, classify_method, doc_kernels
 from eerk.integrator import integrate
@@ -82,6 +83,11 @@ def test_load_config_errors(tmp_path):
         load_config(None, {"metric": "h2"})
     with pytest.raises(ConfigError):
         load_config(None, {"monitor": "maybe"})
+    # values arrive as strings; any other type is a parse error, not a crash
+    with pytest.raises(ConfigError, match="cannot parse monitor=True"):
+        load_config(None, {"monitor": True})
+    with pytest.raises(ConfigError, match="cannot parse method="):
+        load_config(None, {"method": ["etd1"]})
     with pytest.raises(ConfigError):
         ExperimentConfig(methods=["eerk2:c2=7"]).tableaux()
     with pytest.raises(ConfigError):
@@ -450,6 +456,21 @@ def test_cli_unwritable_csv_is_a_config_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'etd1_energy.csv'}: ")
 
 
+def test_analysis_with_curves_forms_each_grid_once(monkeypatch, tmp_path):
+    # one D(z) on the full grid per method gives both the minor curves and
+    # the verdict; only the bisection and the witness form D at single points
+    ndims = []
+    full = dissipation.differentiation_matrix
+
+    def counted(t, z, variant="standard"):
+        ndims.append(np.ndim(z))
+        return full(t, z, variant)
+
+    monkeypatch.setattr(dissipation, "differentiation_matrix", counted)
+    run_analysis(ExperimentConfig(methods=["etd1", "eerk2w:c2=1/4", "ho4"], out=tmp_path))
+    assert ndims.count(1) == 3 and ndims.count(0) == 42 and len(ndims) == 45
+
+
 def test_cli_analyze_prints_the_npd_witness(capsys):
     assert main(["analyze", "--method", "etd3rk"]) == 0
     w = classify_method(get_method("etd3rk")).witness
@@ -514,7 +535,8 @@ def test_cli_config_file_rejects_bad_length(lines, capsys, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("method = etd1\nT = 1\n" + lines)
     assert main(["energy", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # the interval is fixed at (0, 2*pi): length is no key
+    assert capsys.readouterr().err == "error: unknown config key 'length'\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -307,10 +307,11 @@ def test_unknown_variant_is_rejected():
 
 def test_classify_rejects_bad_grids():
     t = get_method("etd1")
-    with pytest.raises(ValueError):
-        classify_method(t, z_grid=[])
-    with pytest.raises(ValueError):
-        classify_method(t, z_grid=[-1.0, 0.5])
+    for scan in (classify_method, scan_method):
+        with pytest.raises(ValueError):
+            scan(t, z_grid=[])
+        with pytest.raises(ValueError):
+            scan(t, z_grid=[-1.0, 0.5])
 
 
 # --------------------------------------------------------------------------
@@ -377,5 +378,10 @@ def test_eerk32_abscissa_condition_values():
 
 def test_scan_shapes():
     t = get_method("eerk2", c2=1)
-    grid, rate, minors = scan_method(t, z_grid=np.linspace(-10, -0.1, 25))
-    assert grid.shape == (25,) and rate.shape == (25,) and minors.shape == (25, 2)
+    grid = np.linspace(-10, -0.1, 25)
+    z, rate, minors, verdict = scan_method(t, z_grid=grid)
+    assert z.shape == (25,) and rate.shape == (25,) and minors.shape == (25, 2)
+    assert verdict == classify_method(t, z_grid=grid)
+    # an unsorted grid gives its rows in ascending z, as the verdict reads them
+    z_desc, rate_desc, _, _ = scan_method(t, z_grid=grid[::-1])
+    assert np.array_equal(z_desc, grid) and np.array_equal(rate_desc, rate)

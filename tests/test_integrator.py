@@ -58,7 +58,7 @@ def test_etd1_step_matches_exponential_euler_form():
     p = semilinear(g=lambda u: np.tanh(u), kappa=1.5)
     u = rng.standard_normal(24)
     tau = 0.2
-    mu = p.spectral_shift(p.op.eigenvalues)
+    mu = p.mu
     stages, _ = one_step(p, get_method("etd1"), u, tau)
     direct = (apply(p.op, lambda lam: phi(0, -tau * (lam + 1.5)), u)
               + tau * apply(p.op, lambda lam: phi(1, -tau * (lam + 1.5)), np.tanh(u) + 1.5 * u))
@@ -130,9 +130,9 @@ def _margin_loop(p, tableau, stages, tau):
     # the margin quadratic form as first written: one multiply-add per (k, l)
     # on the physical stage increments, with energies from the stencil
     op = p.op
-    dmats = np.moveaxis(differentiation_matrix(tableau, -tau * p.spectral_shift(op.eigenvalues)), 0, -1)
+    dmats = np.moveaxis(differentiation_matrix(tableau, -tau * p.mu), 0, -1)
     delta_hats = [op.forward(d) for d in np.diff(stages, axis=0)]
-    weight = op.h / op.eigenvalues if p.metric == "hminus1" else op.h
+    weight = p.weight
     eps2 = p.kind.eps**2
     energies = [0.5 * eps2 * inner(op, v, apply_stencil(op, v)) + op.h * np.sum(0.25 * (v**2 - 1.0) ** 2)
                 for v in stages]
@@ -167,7 +167,7 @@ def test_etd1_margin_against_direct_quadratic_form():
     t = get_method("etd1")
     stages, rep = one_step(p, t, u, tau, monitor=True)
     du = stages[1] - stages[0]
-    mu = p.spectral_shift(p.op.eigenvalues)
+    mu = p.mu
     z = -tau * mu
     d11 = z / 2 + 1.0 / phi(1, z)
     quad = inner(p.op, du, apply_values(p.op, d11, du), metric="hminus1")
@@ -271,7 +271,7 @@ def _physical_stage_loop(p, tableau, u0, tau, n_steps):
     # the stage loop as first written: every step transforms its start
     # state, and each stage forms L((1 + kappa) U - U^3) with the stencil
     op, kappa = p.op, p.kind.kappa
-    tau_mu = tau * p.spectral_shift(op.eigenvalues)
+    tau_mu = tau * p.mu
     a = coefficient_matrix(tableau, -tau_mu)
     coeff = [[a[:, i, j] for j in range(i + 1)] for i in range(tableau.stages)]
     u = u0.copy()
@@ -284,7 +284,7 @@ def _physical_stage_loop(p, tableau, u0, tau, n_steps):
             acc = u1_hat.copy()
             for a, w in zip(row, w_hats):
                 acc += a * w
-            stages.append(op.inverse(acc))
+            stages.append(op.forward(acc))
         u = stages[-1]
     return u
 
@@ -340,11 +340,11 @@ def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
     # returns the report fields, the stages U^2..U^{s+1} of each finite
     # step and the failing (step, stage), if any
     op = p.op
-    tau_mu = tau * p.spectral_shift(op.eigenvalues)
+    tau_mu = tau * p.mu
     s = tableau.stages
     a = np.moveaxis(coefficient_matrix(tableau, -tau_mu), 0, -1)
     b = 1.0 - tau_mu * a.sum(axis=1)
-    weight = op.h / op.eigenvalues if p.metric == "hminus1" else op.h
+    weight = p.weight
     dmats = np.moveaxis(differentiation_matrix(tableau, -tau_mu), 0, -1) * weight
     u, u_hat = u0.copy(), op.forward(u0)
     energies, sup_norms, margins = [p.energy(u, u_hat)], [np.max(np.abs(u))], []
@@ -355,7 +355,7 @@ def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
             for i in range(s):
                 g_hats.append(g_stabilized(p, stages[-1]))
                 hats.append(b[i] * u_hat + sum(tau * a[i, j] * g_hats[j] for j in range(i + 1)))
-                stages.append(op.inverse(hats[-1]))
+                stages.append(op.forward(hats[-1]))
                 if not np.all(np.isfinite(stages[-1])):
                     return energies, sup_norms, margins, u, steps, (n, i + 1)
             u, u_hat = stages[-1], hats[-1]
