@@ -188,15 +188,15 @@ class ExperimentConfig:
     def z_grid(self) -> np.ndarray:
         return parse_z_grid(self.grid)
 
-    def resolve_reference(self) -> tuple:
-        """Reference method/step for convergence runs; defaults to a
-        PSD-on-grid method at tau_0/32: the third-order ``eerk31:c2=4/9``
-        (its threshold) when any configured method has three or more
-        stages, else the second-order ``eerk2w:c2=3/11`` (above its
+    def resolve_reference(self, tableaux) -> tuple:
+        """Reference method/step for convergence runs of ``tableaux``;
+        defaults to a PSD-on-grid method at tau_0/32: the third-order
+        ``eerk31:c2=4/9`` (its threshold) when any of the tableaux has three
+        or more stages, else the second-order ``eerk2w:c2=3/11`` (above its
         threshold, which lies between 2553/10000 and 2554/10000)."""
         spec = self.ref_method
         if spec is None:
-            third = any(t.stages >= 3 for t in self.tableaux())
+            third = any(t.stages >= 3 for t in tableaux)
             spec = "eerk31:c2=4/9" if third else "eerk2w:c2=3/11"
         try:
             ref = parse_method(spec)
@@ -204,11 +204,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         tau = self.ref_tau if self.ref_tau is not None else self.taus[0] / 32.0
         return ref, float(tau)
-
-
-_BOOL_KEYS = {"monitor", "implicit"}
-_FLOAT_KEYS = {"eps", "kappa", "ref_tau"}
-_INT_KEYS = {"m"}
 
 
 def _check_horizon(t_final: float, tau: float) -> int:
@@ -228,21 +223,66 @@ def _parse_bool(value: str) -> bool:
     raise ValueError("expected 1/0, true/false, on/off or yes/no")
 
 
+def _mesh(value: str) -> int:
+    """The interior point count of mesh spacing ``h``."""
+    spacing = float(value)
+    points = _LENGTH / spacing if 0 < spacing < math.inf else math.nan
+    # the mesh bounds below, by h: round(x) - 1 is within them iff 2.5 < x < cap + 1.5
+    if not 2.5 < points < _MAX_POINTS + 1.5:
+        raise ConfigError(f"mesh spacing h={spacing} must be finite, positive and give "
+                          f"2 to {_MAX_POINTS} interior points")
+    return round(points) - 1
+
+
+def _method_specs(value: str) -> list:
+    """Comma-split method specs, reassembled: a chunk without a name part
+    belongs to the previous spec ("eerk32:c2=0.75,c3=0.6")."""
+    specs = []
+    for chunk in value.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if specs and "=" in chunk and ":" not in chunk:
+            specs[-1] += "," + chunk
+        else:
+            specs.append(chunk)
+    return specs
+
+
+#: config key -> (ExperimentConfig field, parser of its string value)
+_KEYS = {
+    "method": ("methods", _method_specs),
+    "eps": ("eps", float),
+    "kappa": ("kappa", float),
+    "m": ("m", int),
+    "h": ("m", _mesh),
+    "ic": ("ic", str),
+    "tau": ("taus", lambda value: [float(v) for v in value.split(",")]),
+    "T": ("t_final", float),
+    "grid": ("grid", str),
+    "out": ("out", Path),
+    "monitor": ("monitor", _parse_bool),
+    "ref_method": ("ref_method", str),
+    "ref_tau": ("ref_tau", float),
+    "implicit": ("implicit", _parse_bool),
+}
+
+
 def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     """Build a config from a key=value file plus override mapping.
 
     Recognized keys: ``method`` (comma-separated specs), ``eps``, ``kappa``,
     ``m``, ``h``, ``ic``, ``tau`` (comma-separated), ``T``, ``grid``,
     ``out``, ``monitor``, ``ref_method``, ``ref_tau``, ``implicit``.  Every
-    value is a string, as in the file; ``monitor`` and ``implicit`` take
-    1/0, true/false, on/off or yes/no.  Precedence: ``defaults`` < file
-    entries < ``overrides`` (a ``None`` override is skipped).
+    value is a string, as in the UTF-8 file; ``monitor`` and ``implicit``
+    take 1/0, true/false, on/off or yes/no.  Precedence: ``defaults`` <
+    file entries < ``overrides`` (a ``None`` override is skipped).
     """
     raw = dict(defaults or {})
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
@@ -258,37 +298,14 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     for key, value in raw.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        name, parse = _KEYS[key]
         try:
-            if key == "method":
-                # commas inside parameter lists: rejoin chunks lacking '='
-                cfg.methods = _regroup_method_specs(value.split(","))
-            elif key == "tau":
-                cfg.taus = [float(v) for v in value.split(",")]
-            elif key == "T":
-                cfg.t_final = float(value)
-            elif key == "h":
-                spacing = float(value)
-                points = _LENGTH / spacing if 0 < spacing < math.inf else math.nan
-                # the mesh bounds below, by h: round(x) - 1 is within them iff 2.5 < x < cap + 1.5
-                if not 2.5 < points < _MAX_POINTS + 1.5:
-                    raise ConfigError(f"mesh spacing h={spacing} must be finite, positive and give "
-                                      f"2 to {_MAX_POINTS} interior points")
-                cfg.m = round(points) - 1
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _BOOL_KEYS:
-                setattr(cfg, key, _parse_bool(value))
-            elif key == "out":
-                cfg.out = Path(value)
-            elif key in ("ic", "grid", "ref_method"):
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            setattr(cfg, name, parse(value))
+        except ConfigError:
+            raise
         except (AttributeError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"cannot parse {key}={value!r}: {exc}") from exc
     # at the upper end, a 5-stage monitored run's coefficient caches take 440 MB
     if not 2 <= cfg.m <= _MAX_POINTS:
@@ -302,21 +319,6 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     for tau in cfg.taus:
         _check_horizon(cfg.t_final, tau)
     return cfg
-
-
-def _regroup_method_specs(chunks) -> list:
-    """Reassemble comma-split method specs: a chunk without a name part
-    belongs to the previous spec ("eerk32:c2=0.75,c3=0.6")."""
-    specs = []
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if specs and "=" in chunk and ":" not in chunk:
-            specs[-1] += "," + chunk
-        else:
-            specs.append(chunk)
-    return specs
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def run_convergence(cfg: ExperimentConfig):
     tableaux = cfg.tableaux()
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
-    ref_tableau, ref_tau = cfg.resolve_reference()
+    ref_tableau, ref_tau = cfg.resolve_reference(tableaux)
     if not cfg.t_final > 0:
         raise ConfigError(f"a convergence table needs a positive final time, got {cfg.t_final}")
     ref_steps = _check_horizon(cfg.t_final, ref_tau)
@@ -447,14 +449,13 @@ def run_energy(cfg: ExperimentConfig):
         if cfg.out is not None:
             slug = _slug(t.label)
             write_csv(cfg.out / f"{slug}_energy.csv", ["t", "energy"],
-                      list(zip(report.times, report.energies)))
+                      np.column_stack([report.times, report.energies]).tolist())
             write_csv(cfg.out / f"{slug}_final.csv", ["x", "u"],
-                      list(zip(problem.op.x, report.final_state)))
+                      np.column_stack([problem.op.x, report.final_state]).tolist())
             if report.margins is not None:
                 header = ["t"] + [f"margin_{j}" for j in range(1, t.stages + 1)]
-                rows = [(report.times[i + 1], *report.margins[i])
-                        for i in range(len(report.margins))]
-                write_csv(cfg.out / f"{slug}_margins.csv", header, rows)
+                write_csv(cfg.out / f"{slug}_margins.csv", header,
+                          np.column_stack([report.times[1:], report.margins]).tolist())
     return reports
 
 
@@ -471,8 +472,8 @@ def run_analysis(cfg: ExperimentConfig):
         z, rate, minors, verdict = scan_method(t, z_grid=grid, variant=variant)
         if cfg.out is not None:
             header = ["z", "rate"] + [f"minor_{j}" for j in range(1, t.stages + 1)]
-            rows = [(z[i], rate[i], *minors[i]) for i in range(len(z))]
-            write_csv(cfg.out / f"{_slug(t.label)}_minors.csv", header, rows)
+            write_csv(cfg.out / f"{_slug(t.label)}_minors.csv", header,
+                      np.column_stack([z, rate, minors]).tolist())
         results[t.label] = verdict
         w = verdict.witness
         summary_rows.append((t.label, verdict.verdict,
@@ -500,6 +501,6 @@ def run_rate(cfg: ExperimentConfig):
         curves[t.label] = data
         if cfg.out is not None:
             header = ["z", "rate"] + (["rate_implicit"] if cfg.implicit else [])
-            rows = [(grid[i], *[data[k][i] for k in header[1:]]) for i in range(len(grid))]
-            write_csv(cfg.out / f"{_slug(t.label)}_rate.csv", header, rows)
+            write_csv(cfg.out / f"{_slug(t.label)}_rate.csv", header,
+                      np.column_stack([grid, *data.values()]).tolist())
     return curves

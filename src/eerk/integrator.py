@@ -167,11 +167,7 @@ class _StepWorkspace:
         the terms it subtracts."""
         members, k, s = energies.shape
         delta_hats = np.diff(self.u_hat[:, :k * s + 1], axis=1).reshape(members, k, s, -1)
-        # each member's quadratic forms in one contraction over its
-        # contiguous m axis, so that they are those of its own run
-        quad = np.empty((members, k, s))
-        for dmats, dh, out in zip(self.dmats, delta_hats, quad):
-            np.einsum("klm,nkm,nlm->nk", dmats, dh, dh, out=out)
+        quad = np.einsum("bklm,bnkm,bnlm->bnk", self.dmats, delta_hats, delta_hats)
         drop = np.cumsum(quad, axis=2) / self.tau
         start = start[..., None]
         floors = _FLOOR_ULPS * np.finfo(float).eps * (np.abs(energies) + np.abs(start) + np.abs(drop))

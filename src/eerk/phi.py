@@ -106,7 +106,9 @@ class _Expr:
         if isinstance(other, _Expr):
             return Product(self, other)
         if isinstance(other, (int, Fraction)):
-            return Sum(((Fraction(other), self),))
+            weight = Fraction(other)
+            float(weight)  # raises OverflowError for a weight beyond float64
+            return Sum(((weight, self),))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -39,7 +39,7 @@ __all__ = [
 
 
 class MethodError(ValueError):
-    """Unknown method name or inadmissible abscissa parameters."""
+    """Unknown method name or inadmissible parameters."""
 
 
 F = Fraction
@@ -102,17 +102,11 @@ def butcher_diff(t: Tableau) -> Tableau:
 # --------------------------------------------------------------------------
 
 
-def _check_abscissa(name, value):
-    if not (0 < value <= 1):
-        raise MethodError(f"{name} must lie in (0, 1], got {value}")
-
-
 def _etd1() -> Tableau:
     return Tableau("etd1", (), (F(0), F(1)), ((P(1),),))
 
 
 def _eerk2(c2: Fraction) -> Tableau:
-    _check_abscissa("c2", c2)
     rows = (
         (c2 * P(1, c2),),
         (P(1) - 1 / c2 * P(2), 1 / c2 * P(2)),
@@ -121,7 +115,6 @@ def _eerk2(c2: Fraction) -> Tableau:
 
 
 def _eerk2w(c2: Fraction) -> Tableau:
-    _check_abscissa("c2", c2)
     rows = (
         (c2 * P(1, c2),),
         ((1 - 1 / (2 * c2)) * P(1), 1 / (2 * c2) * P(1)),
@@ -130,7 +123,6 @@ def _eerk2w(c2: Fraction) -> Tableau:
 
 
 def _eerk2s(c2: Fraction) -> Tableau:
-    _check_abscissa("c2", c2)
     rows = (
         (c2 * P(1, c2),),
         (P(1) - 1 / c2 * P(2), 1 / c2 * P(2)),
@@ -140,7 +132,6 @@ def _eerk2s(c2: Fraction) -> Tableau:
 
 
 def _eerk31(c2: Fraction) -> Tableau:
-    _check_abscissa("c2", c2)
     c3 = F(2, 3)
     a32 = F(4, 9) / c2 * P(2, c3)
     rows = (
@@ -152,8 +143,6 @@ def _eerk31(c2: Fraction) -> Tableau:
 
 
 def _eerk32(c2: Fraction, c3: Fraction) -> Tableau:
-    _check_abscissa("c2", c2)
-    _check_abscissa("c3", c3)
     if c2 == F(2, 3):
         raise MethodError("eerk32 requires c2 != 2/3 (gamma undefined)")
     if c3 == c2:
@@ -278,14 +267,10 @@ def catalog() -> list:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MethodError(f"cannot parse abscissa {value!r}") from exc
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MethodError(f"cannot parse abscissa {value!r}") from exc
 
 
 def get_method(name: str, **params) -> Tableau:
@@ -293,7 +278,8 @@ def get_method(name: str, **params) -> Tableau:
 
     Abscissas may be given as Fractions, decimal/fraction strings, ints or
     floats; they are stored exactly.  Raises :class:`MethodError` for
-    unknown names, wrong parameter sets or inadmissible abscissas.
+    unknown names, wrong parameter sets, an abscissa outside ``(0, 1]`` or
+    a coefficient weight outside the float64 range.
     """
     key = name.lower()
     if key not in _CATALOG:
@@ -303,11 +289,19 @@ def get_method(name: str, **params) -> Tableau:
     expected = _params(builder)
     if set(params) != set(expected):
         raise MethodError(f"{key} takes parameters {expected}, got {tuple(params)}")
-    return builder(*[_as_fraction(params[p]) for p in expected])
+    abscissas = tuple((p, _as_fraction(params[p])) for p in expected)
+    for p, value in abscissas:
+        if not 0 < value <= 1:
+            raise MethodError(f"{p} must lie in (0, 1], got {value}")
+    try:
+        return builder(*(value for _, value in abscissas))
+    except OverflowError as exc:
+        label = Tableau(key, abscissas).label
+        raise MethodError(f"{label} has a coefficient weight outside the float64 range") from exc
 
 
 def parse_method(spec: str) -> Tableau:
-    """Parse a CLI method spec like ``"eerk32:c2=0.75,c3=0.6"``."""
+    """Parse a CLI method spec like ``"eerk32:c2=0.75,c3=0.6"``, each parameter once."""
     name, _, rest = spec.partition(":")
     params = {}
     if rest:
@@ -315,5 +309,8 @@ def parse_method(spec: str) -> Tableau:
             key, eq, value = item.partition("=")
             if not eq or not key or not value:
                 raise MethodError(f"malformed method spec {spec!r}")
-            params[key.strip()] = value.strip()
+            key = key.strip()
+            if key in params:
+                raise MethodError(f"method spec {spec!r} repeats parameter {key!r}")
+            params[key] = value.strip()
     return get_method(name.strip(), **params)

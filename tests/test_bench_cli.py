@@ -209,7 +209,7 @@ def test_convergence_error_matches_final_state_oracle():
     rows = run_convergence(cfg)["eerk2w:c2=1/2"]
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
-    ref, ref_tau = cfg.resolve_reference()
+    ref, ref_tau = cfg.resolve_reference(cfg.tableaux())
     method = cfg.tableaux()[0]
     for row, tau, n_steps in zip(rows, cfg.taus, (20, 30)):
         errors = []
@@ -445,6 +445,50 @@ def test_cli_config_errors_name_key_and_value(args, named, capsys, tmp_path):
     assert main(["energy", "--method", "etd1", *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err, err
+    assert not out.exists()
+
+
+_OVERFLOWING_SPECS = ["eerk2:c2=1e-400", "eerk2w:c2=1e-310", "eerk2s:c2=1e-309",
+                      "eerk31:c2=1e-320", "eerk32:c2=1/2,c3=1e-400"]
+
+
+@pytest.mark.parametrize("command", ["energy", "converge", "analyze", "rate"])
+@pytest.mark.parametrize("spec", _OVERFLOWING_SPECS)
+def test_cli_weight_beyond_float64_is_a_config_error(spec, command, capsys, tmp_path):
+    # a tiny abscissa gives a weight like 1/c2 that no float64 holds; it is
+    # refused by its label before any output directory is made
+    extra = ["--m", "15", "--T", "0.1"] if command in ("energy", "converge") else []
+    out = tmp_path / "out"
+    assert main([command, "--method", spec, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec.partition(':')[0]}:c2=1/"), err
+    assert err.endswith(" has a coefficient weight outside the float64 range\n"), err
+    assert not out.exists()
+
+
+def test_cli_config_file_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"\xff\xfem\x00e\x00t\x00")
+    out = tmp_path / "out"
+    for command in ("energy", "converge", "analyze", "rate"):
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfgfile}: 'utf-8' codec"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["cli", "config"])
+def test_repeated_method_parameter_is_a_config_error(source, capsys, tmp_path):
+    if source == "cli":
+        args = ["--method", "eerk2:c2=1,c2=1/2"]
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("method = eerk2:c2=1, c2=1/2\n")
+        args = ["--config", str(cfgfile)]
+    out = tmp_path / "out"
+    assert main(["rate", *args, "--grid", "lin:-1:0:3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: method spec 'eerk2:c2=1,c2=1/2' repeats parameter 'c2'\n")
     assert not out.exists()
 
 

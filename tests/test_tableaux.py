@@ -294,10 +294,30 @@ def test_eerk32_degenerate_parameters():
 def test_abscissa_domain():
     with pytest.raises(MethodError):
         get_method("eerk2", c2=0)
+    for value in (float("nan"), float("inf"), None, "1/0"):
+        with pytest.raises(MethodError, match="cannot parse abscissa"):
+            get_method("eerk2", c2=value)
     with pytest.raises(MethodError):
         get_method("eerk2", c2="5/4")
     with pytest.raises(MethodError):
         get_method("eerk31", c2=-1)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("eerk2", {"c2": "1e-400"}), ("eerk2w", {"c2": "1e-310"}), ("eerk2s", {"c2": "1e-309"}),
+    ("eerk31", {"c2": "1e-320"}), ("eerk32", {"c2": "1/2", "c3": "1e-400"})])
+def test_weight_beyond_float64_is_a_method_error(name, params, monkeypatch):
+    # admitted when the tableau is built, without evaluating a phi function
+    monkeypatch.setattr(sys.modules["eerk.phi"], "phi", None)
+    with pytest.raises(MethodError, match=rf"^{name}:c2=1/.* outside the float64 range$"):
+        get_method(name, **params)
+
+
+def test_parse_method_rejects_a_repeated_parameter():
+    with pytest.raises(MethodError, match=r"^method spec 'eerk2:c2=1, c2 =1/2' repeats parameter 'c2'$"):
+        parse_method("eerk2:c2=1, c2 =1/2")
+    with pytest.raises(MethodError, match="repeats parameter 'c3'"):
+        parse_method("eerk32:c2=1/2,c3=1,c3=1/2")
 
 
 def test_unknown_method_and_bad_params():
