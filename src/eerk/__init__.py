@@ -2,12 +2,13 @@
 
 The package bundles:
 
-* numerically stable phi-function evaluation and the algebra of tableau
-  coefficients over the leaf ``Phi(k, c) = phi_k(c z)`` (:mod:`eerk.phi`),
+* numerically stable phi-function evaluation, and the basis
+  ``P(k, c) = phi_k(c z)`` on which tableau coefficients are computed as
+  written (:mod:`eerk.phi`),
 * a catalog of EERK Butcher tableaux with parameterized abscissas, one
-  table of names, builders and descriptions, the evaluation ``A(z)`` that
-  every run-time path uses, and the symbolic Butcher-Diff form
-  (:mod:`eerk.tableaux`),
+  table of names and builders (each builder is its method's coefficient
+  formula over ``P``) and descriptions, the evaluation ``A(z)`` that every
+  run-time path uses, and the Butcher-Diff form (:mod:`eerk.tableaux`),
 * the energy-dissipation machinery: discrete orthogonal convolution
   kernels, and differentiation matrices, leading-principal-minor
   classification and average dissipation rates, all read from the
@@ -31,7 +32,7 @@ from eerk.dissipation import (
     leading_principal_minors,
 )
 from eerk.integrator import Ensemble, EnsembleReport, RunReport, integrate
-from eerk.phi import Phi, phi
+from eerk.phi import phi
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator, StabilizedSemilinear
 from eerk.tableaux import (
     Tableau,
@@ -42,7 +43,6 @@ from eerk.tableaux import (
 
 __all__ = [
     "phi",
-    "Phi",
     "Tableau",
     "get_method",
     "parse_method",

@@ -28,7 +28,7 @@ from eerk.dissipation import (
     default_z_grid,
     scan_method,
 )
-from eerk.integrator import Ensemble, _step_count, integrate
+from eerk.integrator import Ensemble, _check_stiffness, _step_count, integrate
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator
 from eerk.tableaux import MethodError, parse_method
 
@@ -206,10 +206,10 @@ class ExperimentConfig:
         return ref, float(tau)
 
 
-def _check_horizon(t_final: float, tau: float) -> int:
-    """``_step_count(t_final, tau)``, whose ValueError is a ConfigError."""
+def _admit(rule, *args):
+    """``rule(*args)`` of the integrator, whose ValueError is a ConfigError."""
     try:
-        return _step_count(t_final, tau)
+        return rule(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -317,7 +317,7 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     if not (math.isfinite(cfg.t_final) and cfg.t_final >= 0):
         raise ConfigError(f"final time must be finite and nonnegative, got {cfg.t_final}")
     for tau in cfg.taus:
-        _check_horizon(cfg.t_final, tau)
+        _admit(_step_count, cfg.t_final, tau)
     return cfg
 
 
@@ -369,14 +369,16 @@ def run_convergence(cfg: ExperimentConfig):
     ref_tableau, ref_tau = cfg.resolve_reference(tableaux)
     if not cfg.t_final > 0:
         raise ConfigError(f"a convergence table needs a positive final time, got {cfg.t_final}")
-    ref_steps = _check_horizon(cfg.t_final, ref_tau)
+    ref_steps = _admit(_step_count, cfg.t_final, ref_tau)
+    for tau in (ref_tau, *cfg.taus):
+        _admit(_check_stiffness, problem, tau)
     _make_out_dir(cfg)
 
     strides = []
     for i, tau in enumerate(cfg.taus):
         if i and tau == cfg.taus[i - 1]:
             raise ConfigError(f"step size {tau} is repeated; an order needs two different steps")
-        stride, rest = divmod(ref_steps, _check_horizon(cfg.t_final, tau))
+        stride, rest = divmod(ref_steps, _admit(_step_count, cfg.t_final, tau))
         if rest:
             raise ConfigError(f"tau {tau} is not an integer multiple of ref_tau {ref_tau}")
         strides.append(stride)
@@ -441,6 +443,7 @@ def run_energy(cfg: ExperimentConfig):
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     tau = cfg.taus[0]
+    _admit(_check_stiffness, problem, tau)
     _make_out_dir(cfg)
     reports = {}
     runs = _integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, cfg.monitor)

@@ -236,13 +236,22 @@ def _step_count(t_final: float, tau: float) -> int:
     return n
 
 
+def _check_stiffness(problem: Problem, tau: float) -> None:
+    """ValueError unless ``tau * mu``, where a step evaluates phi, is finite."""
+    mu = float(np.max(problem.mu))
+    if not np.isfinite(float(tau) * mu):  # a float product overflows without a warning
+        raise ValueError(f"step size tau {tau} times the largest stiff eigenvalue "
+                         f"{mu:.6g} overflows float64")
+
+
 def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
               monitor: bool = False, *, on_block=None):
     """Run ``t_final / tau`` steps from ``u0``; ``t_final = 0`` gives the
     report of the initial state alone.  On divergence the report is
     truncated at the last finite step and flagged.  Before any allocation,
-    a ``ValueError`` rejects a ``tau`` that is not positive and a ``t_final``
-    that is not ``n * tau`` (within 8 ulps) for a whole ``0 <= n <= 2**24``.
+    a ``ValueError`` rejects a ``tau`` that is not positive, a ``t_final``
+    that is not ``n * tau`` (within 8 ulps) for a whole ``0 <= n <= 2**24``,
+    and a ``tau`` whose ``tau * mu`` overflows on the problem's spectrum.
 
     ``tableau`` is one :class:`Tableau`, which gives one :class:`RunReport`,
     or a sequence of them sharing a stage count (see :class:`Ensemble`),
@@ -264,6 +273,7 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     if len(hooks) != len(ensemble):
         raise ValueError(f"{len(ensemble)} members need as many on_block hooks, got {len(hooks)}")
     n_steps = _step_count(t_final, tau)
+    _check_stiffness(problem, tau)
     members, s, m = len(ensemble), ensemble.stages, problem.op.m
     block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)) // members)
     ws = _StepWorkspace(problem, ensemble, tau, monitor, block * s + 1)

@@ -11,27 +11,24 @@ numerator vanishes like ``z``), so :func:`phi` switches between a Taylor
 series for small ``|z|`` and an ``expm1``-seeded bottom-up recursion for
 large ``|z|``.
 
-A tableau coefficient is an expression over the leaf :class:`Phi`, which
-stands for ``phi_k(c z)``: ``a + b``, ``a - b``, ``-a`` and ``w * a`` with an
-exact rational ``w`` build a weighted sum, and ``a * b`` a product, so the
-Cox-Matthews coefficient reads ``half * Phi(1, half) * (Phi(0, half) - one)``
-with the constant ``one = Phi(0, 0)``.  Any other operand is a ``TypeError``
-when the expression is built.  ``expr.at(z, basis)`` evaluates terms and
-factors left to right, multiplying only by a weight other than 1; ``basis``
-holds each ``phi_k(c z)`` already evaluated, so the caller makes one phi call
-per distinct leaf and none for a constant ``Phi(k, 0) = 1/k!``.
+A tableau coefficient is evaluated as it is written.  ``P = basis(z)``
+gives ``P(k, c) = phi_k(c z)`` as a :class:`Coefficient`, on which ``+``,
+``-``, ``*`` and exact rational weights compute at once, in the order the
+formula is written: the Cox-Matthews coefficient is
+``half * P(1, half) * (P(0, half) - P(0, 0))``, with ``P(0, 0) = 1``.  Any
+other operand is a ``TypeError``.  A basis makes one phi call per distinct
+``phi_k(c z)`` and none for a constant ``P(k, 0) = 1/k!``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-__all__ = ["phi", "Phi"]
+__all__ = ["phi", "basis", "Coefficient"]
 
 # Terms needed for the Taylor branch: worst case |z| ~ k <= 8 converges to
 # 1e-18 relative well inside this cap.
@@ -88,76 +85,56 @@ def phi(k: int, z) -> Union[float, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# Coefficient expressions
+# Coefficient arithmetic
 # --------------------------------------------------------------------------
 
 
-class _Expr:
+class Coefficient:
+    """A value of ``phi_k(c z)`` arithmetic: ``a + b``, ``a - b``, ``-a``,
+    ``a * b`` and ``w * a`` with an exact ``int`` or ``Fraction`` weight
+    ``w`` evaluate at once; any other operand is a ``TypeError``, and a
+    weight beyond float64 an ``OverflowError``."""
+
+    __slots__ = ("value",)
+    __array_ufunc__ = None  # a numpy operand defers to the methods below
+
+    def __init__(self, value):
+        self.value = value
+
     def __add__(self, other):
-        return _append(self, 1, other)
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return Coefficient(self.value + other.value)
 
     def __sub__(self, other):
-        return _append(self, -1, other)
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return Coefficient(self.value - other.value)
 
     def __neg__(self):
-        return -1 * self
+        return Coefficient(-self.value)
 
     def __mul__(self, other):
-        if isinstance(other, _Expr):
-            return Product(self, other)
+        if isinstance(other, Coefficient):
+            return Coefficient(self.value * other.value)
         if isinstance(other, (int, Fraction)):
-            weight = Fraction(other)
-            float(weight)  # raises OverflowError for a weight beyond float64
-            return Sum(((weight, self),))
+            return Coefficient(float(other) * self.value)
         return NotImplemented
 
     __rmul__ = __mul__
 
 
-def _append(left: _Expr, weight: int, right):
-    # a left-hand sum is extended rather than nested: both add left to right
-    if not isinstance(right, _Expr):
-        return NotImplemented
-    terms = left.terms if isinstance(left, Sum) else ((Fraction(1), left),)
-    return Sum(terms + ((Fraction(weight), right),))
+def basis(z):
+    """``P(k, c=1)``: ``phi_k(c z)`` as a :class:`Coefficient`.  Each
+    distinct ``(k, c)`` with ``c != 0`` is one :func:`phi` call, and the
+    constant ``c = 0`` gives ``1/k!`` with none."""
+    memo = {}
 
+    def P(k: int, c=1) -> Coefficient:
+        if c == 0:
+            return Coefficient(1 / math.factorial(k))
+        if (k, c) not in memo:
+            memo[k, c] = Coefficient(phi(k, float(c) * z))
+        return memo[k, c]
 
-@dataclass(frozen=True)
-class Phi(_Expr):
-    """``phi_order(scale * z)``; ``scale`` is an abscissa in ``(0, 1]``, or 0
-    for the constant ``phi_order(0) = 1/order!``."""
-
-    order: int
-    scale: Union[Fraction, float] = Fraction(1)
-
-    def at(self, z, basis: dict):
-        if self.scale == 0:
-            return 1 / math.factorial(self.order)
-        if self not in basis:
-            basis[self] = phi(self.order, float(self.scale) * z)
-        return basis[self]
-
-
-@dataclass(frozen=True)
-class Sum(_Expr):
-    """``w_1 e_1 + w_2 e_2 + ...`` for ``terms = ((w_1, e_1), ...)``."""
-
-    terms: tuple
-
-    def at(self, z, basis: dict):
-        acc = None
-        for weight, term in self.terms:
-            value = term.at(z, basis)
-            if weight != 1:
-                value = float(weight) * value
-            acc = value if acc is None else acc + value
-        return acc
-
-
-@dataclass(frozen=True)
-class Product(_Expr):
-    left: _Expr
-    right: _Expr
-
-    def at(self, z, basis: dict):
-        return self.left.at(z, basis) * self.right.at(z, basis)
+    return P

@@ -1,16 +1,18 @@
 """Catalog of explicit exponential Runge-Kutta (EERK) Butcher tableaux.
 
-Every tableau is stored symbolically: entry ``(i, j)`` of the coefficient
-matrix ``A`` is the function ``a_{i+1,j}(z)``, written as in the papers with
-the operators of :mod:`eerk.phi` (``P(1) - 1 / c2 * P(2)`` for
-``phi_1(z) - phi_2(z)/c2``), and the weight row ``b_j = a_{s+1,j}`` is
-stored as the last row of ``A`` so downstream analysis needs no special
-casing.  Abscissas and rational coefficients are exact
-:class:`~fractions.Fraction` values.
+Every method is its builder: a function of the basis ``P`` of
+:func:`eerk.phi.basis` and of the method's abscissas that returns the
+abscissas ``c`` and the coefficient rows, each entry ``a_{i+1,j}(z)``
+written as in the papers (``P(1) - 1 / c2 * P(2)`` for
+``phi_1(z) - phi_2(z)/c2``) and computed as written.  The weight row
+``b_j = a_{s+1,j}`` is the last row of ``A``, so downstream analysis needs
+no special casing.  Abscissas and rational coefficients are exact
+:class:`~fractions.Fraction` values.  A custom tableau is one more such
+builder.
 
 The catalog is one table, ``_CATALOG``: each name maps to its builder,
-whose parameters are the abscissas the method takes, and to the one-line
-description ``eerk catalog`` prints.  Sources: Cox & Matthews (2002) for
+whose parameters after ``P`` are the abscissas the method takes, and to the
+one-line description ``eerk catalog`` prints.  Sources: Cox & Matthews (2002) for
 ETD2RK (``eerk2`` at ``c2 = 1``), ``etd3rk`` and ``cm4``; Hochbruck &
 Ostermann (2005) for ``eerk31``, ``eerk32`` and ``ho4``; Strehmel & Weiner
 (1992) for ``eerk2s`` and ``sw4``; Krogstad (2005) for ``krogstad4``;
@@ -20,12 +22,13 @@ Celledoni, Marthinsen & Owren (2003) for ``etd2cf3``.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from eerk.phi import Phi as P
+from eerk.phi import Coefficient, basis
 
 __all__ = [
     "Tableau",
@@ -43,26 +46,25 @@ class MethodError(ValueError):
 
 
 F = Fraction
-_ONE = P(0, F(0))
-_ZERO = 0 * _ONE
 
 
 @dataclass(frozen=True)
 class Tableau:
-    """Abscissas ``c_1..c_{s+1}`` plus the lower-triangular coefficient rows.
-
-    ``rows[i]`` holds ``(a_{i+2,1}, ..., a_{i+2,i+1})`` for ``0 <= i < s``;
-    the final row is the weight row.  ``c[0] = 0`` and ``c[s] = 1``.
-    """
+    """Abscissas ``c_1..c_{s+1}`` plus the formula of the lower-triangular
+    coefficient rows: ``rows(P)[i]``, on a basis ``P`` of
+    :func:`eerk.phi.basis`, holds ``(a_{i+2,1}, ..., a_{i+2,i+1})`` for
+    ``0 <= i < s``; the final row is the weight row.  ``c[0] = 0`` and
+    ``c[s] = 1``.  The formula is not compared, so one spec gives equal
+    tableaux."""
 
     name: str
-    params: tuple = ()
-    c: tuple = ()
-    rows: tuple = ()
+    params: tuple
+    c: tuple
+    rows: Callable = field(compare=False, repr=False)
 
     @property
     def stages(self) -> int:
-        return len(self.rows)
+        return len(self.c) - 1
 
     @property
     def label(self) -> str:
@@ -79,10 +81,9 @@ def coefficient_matrix(t, z) -> np.ndarray:
     ``phi_k(c z)`` is evaluated once per call."""
     z = np.asarray(z, dtype=float)
     out = np.zeros(z.shape + (t.stages, t.stages))
-    basis = {}
-    for i, row in enumerate(t.rows):
+    for i, row in enumerate(t.rows(basis(z))):
         for j, entry in enumerate(row):
-            out[..., i, j] = entry.at(z, basis)
+            out[..., i, j] = entry.value
     return out
 
 
@@ -90,59 +91,56 @@ def butcher_diff(t: Tableau) -> Tableau:
     """Difference coefficients, in the same layout: the diagonal is kept, and
     below it each entry has the same-column entry of the previous stage row
     subtracted."""
-    rows = [t.rows[0]]
-    for i in range(1, t.stages):
-        prev, cur = t.rows[i - 1], t.rows[i]
-        rows.append(tuple(cur[j] - prev[j] for j in range(i)) + (cur[i],))
-    return Tableau(name=t.name, params=t.params, c=t.c, rows=tuple(rows))
+    def rows(P):
+        a = t.rows(P)
+        return (a[0],) + tuple(tuple(cur[j] - prev[j] for j in range(i)) + (cur[i],)
+                               for i, (prev, cur) in enumerate(zip(a, a[1:]), start=1))
+    return Tableau(t.name, t.params, t.c, rows)
 
 
 # --------------------------------------------------------------------------
-# Method builders
+# Method builders: (c, rows) from the basis P and the abscissas; a blank
+# entry is 0 * P(0, 0)
 # --------------------------------------------------------------------------
 
 
-def _etd1() -> Tableau:
-    return Tableau("etd1", (), (F(0), F(1)), ((P(1),),))
+def _etd1(P):
+    return (F(0), F(1)), ((P(1),),)
 
 
-def _eerk2(c2: Fraction) -> Tableau:
-    rows = (
+def _eerk2(P, c2: Fraction):
+    return (F(0), c2, F(1)), (
         (c2 * P(1, c2),),
         (P(1) - 1 / c2 * P(2), 1 / c2 * P(2)),
     )
-    return Tableau("eerk2", (("c2", c2),), (F(0), c2, F(1)), rows)
 
 
-def _eerk2w(c2: Fraction) -> Tableau:
-    rows = (
+def _eerk2w(P, c2: Fraction):
+    return (F(0), c2, F(1)), (
         (c2 * P(1, c2),),
         ((1 - 1 / (2 * c2)) * P(1), 1 / (2 * c2) * P(1)),
     )
-    return Tableau("eerk2w", (("c2", c2),), (F(0), c2, F(1)), rows)
 
 
-def _eerk2s(c2: Fraction) -> Tableau:
-    rows = (
+def _eerk2s(P, c2: Fraction):
+    return (F(0), c2, F(1), F(1)), (
         (c2 * P(1, c2),),
         (P(1) - 1 / c2 * P(2), 1 / c2 * P(2)),
-        (P(1) - P(2), _ZERO, P(2)),
+        (P(1) - P(2), 0 * P(0, 0), P(2)),
     )
-    return Tableau("eerk2s", (("c2", c2),), (F(0), c2, F(1), F(1)), rows)
 
 
-def _eerk31(c2: Fraction) -> Tableau:
+def _eerk31(P, c2: Fraction):
     c3 = F(2, 3)
     a32 = F(4, 9) / c2 * P(2, c3)
-    rows = (
+    return (F(0), c2, c3, F(1)), (
         (c2 * P(1, c2),),
         (c3 * P(1, c3) - a32, a32),
-        (P(1) - F(3, 2) * P(2), _ZERO, F(3, 2) * P(2)),
+        (P(1) - F(3, 2) * P(2), 0 * P(0, 0), F(3, 2) * P(2)),
     )
-    return Tableau("eerk31", (("c2", c2),), (F(0), c2, c3, F(1)), rows)
 
 
-def _eerk32(c2: Fraction, c3: Fraction) -> Tableau:
+def _eerk32(P, c2: Fraction, c3: Fraction):
     if c2 == F(2, 3):
         raise MethodError("eerk32 requires c2 != 2/3 (gamma undefined)")
     if c3 == c2:
@@ -154,92 +152,81 @@ def _eerk32(c2: Fraction, c3: Fraction) -> Tableau:
     a32 = gamma * c2 * P(2, c2) + c3 * c3 / c2 * P(2, c3)
     b2 = gamma / w * P(2)
     b3 = 1 / w * P(2)
-    rows = (
+    return (F(0), c2, c3, F(1)), (
         (c2 * P(1, c2),),
         (c3 * P(1, c3) - a32, a32),
         (P(1) - b2 - b3, b2, b3),
     )
-    return Tableau("eerk32", (("c2", c2), ("c3", c3)), (F(0), c2, c3, F(1)), rows)
 
 
-def _etd3rk() -> Tableau:
+def _etd3rk(P):
     half = F(1, 2)
-    rows = (
+    return (F(0), half, F(1), F(1)), (
         (half * P(1, half),),
         (-P(1), 2 * P(1)),
         (4 * P(3) - 3 * P(2) + P(1), -8 * P(3) + 4 * P(2), 4 * P(3) - P(2)),
     )
-    return Tableau("etd3rk", (), (F(0), half, F(1), F(1)), rows)
 
 
-def _etd2cf3() -> Tableau:
+def _etd2cf3(P):
     c2, c3 = F(1, 3), F(2, 3)
     a32 = F(4, 3) * P(2, c3)
-    rows = (
+    return (F(0), c2, c3, F(1)), (
         (c2 * P(1, c2),),
         (c3 * P(1, c3) - a32, a32),
         (P(1) - F(9, 2) * P(2) + 9 * P(3), 6 * P(2) - 18 * P(3), -F(3, 2) * P(2) + 9 * P(3)),
     )
-    return Tableau("etd2cf3", (), (F(0), c2, c3, F(1)), rows)
 
 
-_B_ROW_4TH = (
-    P(1) - 3 * P(2) + 4 * P(3),
-    2 * P(2) - 4 * P(3),
-    2 * P(2) - 4 * P(3),
-    4 * P(3) - P(2),
-)
+def _b_row_4th(P):
+    return (P(1) - 3 * P(2) + 4 * P(3), 2 * P(2) - 4 * P(3), 2 * P(2) - 4 * P(3), 4 * P(3) - P(2))
 
 
-def _cm4() -> Tableau:
+def _cm4(P):
     half = F(1, 2)
-    rows = (
+    return (F(0), half, half, F(1), F(1)), (
         (half * P(1, half),),
-        (_ZERO, half * P(1, half)),
-        (half * P(1, half) * (P(0, half) - _ONE), _ZERO, P(1, half)),
-        _B_ROW_4TH,
+        (0 * P(0, 0), half * P(1, half)),
+        (half * P(1, half) * (P(0, half) - P(0, 0)), 0 * P(0, 0), P(1, half)),
+        _b_row_4th(P),
     )
-    return Tableau("cm4", (), (F(0), half, half, F(1), F(1)), rows)
 
 
-def _krogstad4() -> Tableau:
+def _krogstad4(P):
     half = F(1, 2)
-    rows = (
+    return (F(0), half, half, F(1), F(1)), (
         (half * P(1, half),),
         (half * P(1, half) - P(2, half), P(2, half)),
-        (P(1) - 2 * P(2), _ZERO, 2 * P(2)),
-        _B_ROW_4TH,
+        (P(1) - 2 * P(2), 0 * P(0, 0), 2 * P(2)),
+        _b_row_4th(P),
     )
-    return Tableau("krogstad4", (), (F(0), half, half, F(1), F(1)), rows)
 
 
-def _sw4() -> Tableau:
+def _sw4(P):
     half = F(1, 2)
-    rows = (
+    return (F(0), half, half, F(1), F(1)), (
         (half * P(1, half),),
         (half * P(1, half) - half * P(2, half), half * P(2, half)),
         (P(1) - 2 * P(2), -2 * P(2), 4 * P(2)),
-        (P(1) - 3 * P(2) + 4 * P(3), _ZERO, 4 * P(2) - 8 * P(3), 4 * P(3) - P(2)),
+        (P(1) - 3 * P(2) + 4 * P(3), 0 * P(0, 0), 4 * P(2) - 8 * P(3), 4 * P(3) - P(2)),
     )
-    return Tableau("sw4", (), (F(0), half, half, F(1), F(1)), rows)
 
 
-def _ho4() -> Tableau:
+def _ho4(P):
     half = F(1, 2)
     a52 = half * P(2, half) - P(3) + F(1, 4) * P(2) - half * P(3, half)
     a54 = F(1, 4) * P(2, half) - a52
     a51 = half * P(1, half) - 2 * a52 - a54
-    rows = (
+    return (F(0), half, half, F(1), half, F(1)), (
         (half * P(1, half),),
         (half * P(1, half) - P(2, half), P(2, half)),
         (P(1) - 2 * P(2), P(2), P(2)),
         (a51, a52, a52, a54),
-        (P(1) - 3 * P(2) + 4 * P(3), _ZERO, _ZERO, 4 * P(3) - P(2), 4 * P(2) - 8 * P(3)),
+        (P(1) - 3 * P(2) + 4 * P(3), 0 * P(0, 0), 0 * P(0, 0), 4 * P(3) - P(2), 4 * P(2) - 8 * P(3)),
     )
-    return Tableau("ho4", (), (F(0), half, half, F(1), half, F(1)), rows)
 
 
-#: name -> (builder, one-line description); the builder's parameters are
+#: name -> (builder, one-line description); the builder's parameters after P are
 #: the abscissas the method takes, in declaration order
 _CATALOG = {
     "etd1": (_etd1, "exponential forward Euler (1 stage)"),
@@ -258,7 +245,7 @@ _CATALOG = {
 
 
 def _params(builder) -> tuple:
-    return tuple(inspect.signature(builder).parameters)
+    return tuple(inspect.signature(builder).parameters)[1:]  # after the basis P
 
 
 def catalog() -> list:
@@ -293,11 +280,14 @@ def get_method(name: str, **params) -> Tableau:
     for p, value in abscissas:
         if not 0 < value <= 1:
             raise MethodError(f"{p} must lie in (0, 1], got {value}")
+    values = [value for _, value in abscissas]
     try:
-        return builder(*(value for _, value in abscissas))
+        # a dry run on zeros gives c and admits each weight without a phi call
+        c, _ = builder(lambda *_: Coefficient(0.0), *values)
     except OverflowError as exc:
-        label = Tableau(key, abscissas).label
-        raise MethodError(f"{label} has a coefficient weight outside the float64 range") from exc
+        given = ",".join(f"{p}={value}" for p, value in params.items())
+        raise MethodError(f"{key}:{given} has a coefficient weight outside the float64 range") from exc
+    return Tableau(key, abscissas, c, lambda P: builder(P, *values)[1])
 
 
 def parse_method(spec: str) -> Tableau:

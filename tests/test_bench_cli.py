@@ -456,13 +456,32 @@ _OVERFLOWING_SPECS = ["eerk2:c2=1e-400", "eerk2w:c2=1e-310", "eerk2s:c2=1e-309",
 @pytest.mark.parametrize("spec", _OVERFLOWING_SPECS)
 def test_cli_weight_beyond_float64_is_a_config_error(spec, command, capsys, tmp_path):
     # a tiny abscissa gives a weight like 1/c2 that no float64 holds; it is
-    # refused by its label before any output directory is made
+    # refused under the spec as given before any output directory is made
     extra = ["--m", "15", "--T", "0.1"] if command in ("energy", "converge") else []
     out = tmp_path / "out"
     assert main([command, "--method", spec, *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {spec.partition(':')[0]}:c2=1/"), err
-    assert err.endswith(" has a coefficient weight outside the float64 range\n"), err
+    assert err == f"error: {spec} has a coefficient weight outside the float64 range\n", err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["energy", "--method", "eerk2:c2=1", "--m", "31", "--tau", "1e308", "--T", "1e308"],
+    ["converge", "--method", "etd1", "--m", "31", "--tau", "1e308", "--ref-tau", "1e308",
+     "--T", "1e308"],
+    ["energy", "--method", "etd1", "--m", "31", "--kappa", "1e300", "--tau", "1e10", "--T", "1e10",
+     "--monitor"],
+], ids=["energy", "converge", "energy-stiff"])
+def test_cli_step_beyond_the_stiff_spectrum_is_a_config_error(argv, capsys, tmp_path):
+    # tau * mu overflows float64: refused by its tau before the output
+    # directory is made, not a phi error from the first step
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    tau = float(argv[argv.index("--tau") + 1])
+    assert err.startswith(f"error: step size tau {tau} times the largest stiff eigenvalue "), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -229,6 +229,25 @@ def test_bad_horizons_are_rejected_before_any_allocation(monkeypatch):
             integrate(p, get_method("etd1"), u0, tau, 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_beyond_the_stiff_spectrum_is_rejected_before_any_allocation(monkeypatch):
+    # tau * mu overflows, so phi would be asked for phi_k(-inf)
+    p = cahn_hilliard(m=24)
+    u0 = 0.2 * np.sin(p.op.x)
+
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("a workspace was built for a step that is rejected")
+
+    monkeypatch.setattr("eerk.integrator._StepWorkspace", no_workspace)
+    for tau in (1e308, np.float64(1e308)):
+        with pytest.raises(ValueError, match=r"^step size tau 1e\+308 times the largest stiff "
+                                             r"eigenvalue .* overflows float64$"):
+            integrate(p, get_method("etd1"), u0, tau, 1e308)
+    stiff = cahn_hilliard(m=24, kappa=1e300)
+    with pytest.raises(ValueError, match="step size tau 10000000000.0 times"):
+        integrate(stiff, get_method("eerk2", c2=1), u0, 1e10, 1e10, monitor=True)
+
+
 def test_step_count_cap_and_roundoff():
     assert _step_count(0.0, 0.1) == 0
     assert _step_count(0.3, 0.1) == 3  # 0.3 / 0.1 = 2.9999999999999996
