@@ -249,22 +249,25 @@ def _method_specs(value: str) -> list:
     return specs
 
 
-#: config key -> (ExperimentConfig field, parser of its string value)
+#: config key -> (ExperimentConfig field, parser of its string value, help
+#: of its command-line flag)
 _KEYS = {
-    "method": ("methods", _method_specs),
-    "eps": ("eps", float),
-    "kappa": ("kappa", float),
-    "m": ("m", int),
-    "h": ("m", _mesh),
-    "ic": ("ic", str),
-    "tau": ("taus", lambda value: [float(v) for v in value.split(",")]),
-    "T": ("t_final", float),
-    "grid": ("grid", str),
-    "out": ("out", Path),
-    "monitor": ("monitor", _parse_bool),
-    "ref_method": ("ref_method", str),
-    "ref_tau": ("ref_tau", float),
-    "implicit": ("implicit", _parse_bool),
+    "method": ("methods", _method_specs, "method spec; repeatable"),
+    "eps": ("eps", float, "interface width"),
+    "kappa": ("kappa", float, "stabilization parameter"),
+    "m": ("m", int, "interior mesh points"),
+    "h": ("m", _mesh, "mesh spacing (alternative to --m)"),
+    "ic": ("ic", str, "initial profile: sine | bumps"),
+    "tau": ("taus", lambda value: [float(v) for v in value.split(",")],
+            "step size(s), comma separated"),
+    "T": ("t_final", float, "final time"),
+    "grid": ("grid", str, "z grid spec (default: builtin union grid)"),
+    "out": ("out", Path, "output directory for CSV files"),
+    "monitor": ("monitor", _parse_bool, "record stage energy-law margins"),
+    "ref_method": ("ref_method", str, "reference method spec"),
+    "ref_tau": ("ref_tau", float, "reference step size"),
+    "implicit": ("implicit", _parse_bool,
+                 "classify (analyze) or add (rate) the pure-implicit variant"),
 }
 
 
@@ -300,7 +303,7 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     for key, value in raw.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, parse = _KEYS[key]
+        name, parse, _ = _KEYS[key]
         try:
             setattr(cfg, name, parse(value))
         except ConfigError:

@@ -9,10 +9,13 @@ Subcommands::
     eerk energy   [--config FILE]     energy series (opt. stage margins)
 
 Method specs look like ``etd1``, ``eerk2:c2=0.5`` or
-``eerk32:c2=0.75,c3=0.6``; abscissas accept decimals or fractions.  All
-outputs are CSV.  Exit codes: 0 success, 2 configuration error (also a
-z grid on which a diagonal coefficient of D(z) vanishes or, for analyze, a
-minor leaves the float64 range), 3 divergence.
+``eerk32:c2=0.75,c3=0.6``; abscissas accept decimals or fractions.  Each
+flag but ``--config`` is a config key of :func:`eerk.bench.load_config`,
+spelled ``--key`` with ``_`` written ``-``; flags override the config file,
+which overrides the subcommand's defaults.  All outputs are CSV.  Exit
+codes: 0 success, 2 configuration error (also a z grid on which a diagonal
+coefficient of D(z) vanishes or, for analyze, a minor leaves the float64
+range), 3 divergence.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import argparse
 import sys
 
 from eerk.bench import (
+    _KEYS,
     BenchDivergence,
     ConfigError,
+    ExperimentConfig,
+    _parse_bool,
     load_config,
     run_analysis,
     run_convergence,
@@ -35,66 +41,6 @@ from eerk.tableaux import MethodError, catalog
 _EXIT_CONFIG = 2
 _EXIT_DIVERGENCE = 3
 
-def _add_common(sub):
-    sub.add_argument("--method", action="append", dest="method",
-                     metavar="SPEC", help="method spec; repeatable")
-    sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--out", help="output directory for CSV files")
-
-
-def _add_problem_flags(sub):
-    sub.add_argument("--tau", help="step size(s), comma separated")
-    sub.add_argument("--kappa", help="stabilization parameter")
-    sub.add_argument("--eps", help="interface width")
-    sub.add_argument("--T", dest="T", help="final time")
-    sub.add_argument("--m", help="interior mesh points")
-    sub.add_argument("--h", help="mesh spacing (alternative to --m)")
-    sub.add_argument("--ic", help="initial profile: sine | bumps")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eerk",
-        description="Exponential Runge-Kutta gradient-flow benchmarks")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    subs.add_parser("catalog", help="list available methods")
-
-    analyze = subs.add_parser("analyze", help="PSD/NPD classification")
-    _add_common(analyze)
-    analyze.add_argument("--grid", help="z grid spec (default: builtin union grid)")
-    analyze.add_argument("--implicit", action="store_true",
-                         help="analyze the pure-implicit variant")
-
-    rate = subs.add_parser("rate", help="average dissipation rate curves")
-    _add_common(rate)
-    rate.add_argument("--grid", help="z grid spec")
-    rate.add_argument("--implicit", action="store_true",
-                      help="also emit the pure-implicit rate")
-
-    converge = subs.add_parser("converge", help="convergence table vs reference")
-    _add_common(converge)
-    _add_problem_flags(converge)
-    converge.add_argument("--ref-method", dest="ref_method", help="reference method spec")
-    converge.add_argument("--ref-tau", dest="ref_tau", help="reference step size")
-
-    energy = subs.add_parser("energy", help="energy dissipation run")
-    _add_common(energy)
-    _add_problem_flags(energy)
-    energy.add_argument("--monitor", action="store_true",
-                        help="record stage energy-law margins")
-    return parser
-
-
-def _overrides(args) -> dict:
-    """Config overrides, as strings, from the flags given on the command
-    line: repeated ``--method`` values joined by commas, switches ``on``."""
-    out = {}
-    for key, value in vars(args).items():
-        if key not in ("command", "config") and value is not None and value is not False:
-            out[key] = ",".join(value) if key == "method" else "on" if value is True else value
-    return out
-
 
 def _cmd_catalog(_args) -> int:
     for name, params, text in catalog():
@@ -104,8 +50,7 @@ def _cmd_catalog(_args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    for label, verdict in run_analysis(cfg).items():
+    for label, verdict in run_analysis(_config(args)).items():
         if verdict.witness is None:
             print(f"{label:28s} {verdict.verdict}")
         else:
@@ -116,7 +61,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = _config(args)
     curves = run_rate(cfg)
     grid = cfg.z_grid()
     for label, data in curves.items():
@@ -127,8 +72,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    for label, rows in run_convergence(cfg).items():
+    for label, rows in run_convergence(_config(args)).items():
         print(f"# {label}")
         print(f"{'tau':>12s} {'error':>14s} {'order':>7s}")
         for row in rows:
@@ -138,9 +82,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    defaults = {"ic": "bumps", "tau": "0.1", "T": "160"}
-    cfg = load_config(args.config, _overrides(args), defaults=defaults)
-    reports = run_energy(cfg)
+    reports = run_energy(_config(args))
     diverged = False
     for label, report in reports.items():
         if report.diverged:
@@ -157,18 +99,57 @@ def _cmd_energy(args) -> int:
     return _EXIT_DIVERGENCE if diverged else 0
 
 
+_PROBLEM = ("tau", "kappa", "eps", "T", "m", "h", "ic")
+
+#: subcommand -> (handler, help, config keys of its flags besides ``method``
+#: and ``out``, None for no flags at all, defaults below its config file)
+_COMMANDS = {
+    "catalog": (_cmd_catalog, "list available methods", None, {}),
+    "analyze": (_cmd_analyze, "PSD/NPD classification", ("grid", "implicit"), {}),
+    "rate": (_cmd_rate, "average dissipation rate curves", ("grid", "implicit"), {}),
+    "converge": (_cmd_converge, "convergence table vs reference",
+                 _PROBLEM + ("ref_method", "ref_tau"), {}),
+    "energy": (_cmd_energy, "energy dissipation run", _PROBLEM + ("monitor",),
+               {"ic": "bumps", "tau": "0.1", "T": "160"}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``_COMMANDS`` entry; a boolean key's flag is a
+    switch that stores ``on``."""
+    parser = argparse.ArgumentParser(
+        prog="eerk",
+        description="Exponential Runge-Kutta gradient-flow benchmarks")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary, keys, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        if keys is None:
+            continue
+        sub.add_argument("--method", action="append", metavar="SPEC", help=_KEYS["method"][2])
+        sub.add_argument("--config", help="key=value config file")
+        for key in ("out",) + keys:
+            _, parse, text = _KEYS[key]
+            flag = "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                sub.add_argument(flag, action="store_const", const="on", help=text)
+            else:
+                sub.add_argument(flag, help=text)
+    return parser
+
+
+def _config(args) -> ExperimentConfig:
+    """The config of a subcommand: its defaults, then its config file, then
+    the flags given, repeated ``--method`` values joined by commas."""
+    flags = {key: value for key, value in vars(args).items() if key in _KEYS}
+    if args.method:
+        flags["method"] = ",".join(args.method)
+    return load_config(args.config, flags, _COMMANDS[args.command][3])
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "catalog": _cmd_catalog,
-        "analyze": _cmd_analyze,
-        "rate": _cmd_rate,
-        "converge": _cmd_converge,
-        "energy": _cmd_energy,
-    }[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, MethodError, SingularDiagonalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -186,8 +186,11 @@ class RunReport:
     final_state: np.ndarray
     margins: Optional[np.ndarray]  # (n_steps, s) when monitored
     margin_floors: Optional[np.ndarray]  # rounding floor of each margin
-    diverged: bool
     diverged_step: Optional[int]
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_step is not None
 
     @property
     def n_steps(self) -> int:
@@ -336,7 +339,6 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
             final_state=u[b, 0].copy() if step is None else final_states[b],
             margins=margins[b, :n] if monitor and n else None,
             margin_floors=floors[b, :n] if monitor and n else None,
-            diverged=step is not None,
             diverged_step=step,
         ))
     return reports[0] if single else EnsembleReport(reports)

@@ -8,8 +8,8 @@ The entire functions ``phi_0(z) = exp(z)`` and
 are the building blocks of every exponential Runge-Kutta coefficient.  The
 recursion itself is catastrophically cancellative near ``z = 0`` (the
 numerator vanishes like ``z``), so :func:`phi` switches between a Taylor
-series for small ``|z|`` and an ``expm1``-seeded bottom-up recursion for
-large ``|z|``.
+series of fixed length per order for small ``|z|`` and an ``expm1``-seeded
+bottom-up recursion for large ``|z|``.
 
 A tableau coefficient is evaluated as it is written.  ``P = basis(z)``
 gives ``P(k, c) = phi_k(c z)`` as a :class:`Coefficient`, on which ``+``,
@@ -22,6 +22,7 @@ other operand is a ``TypeError``.  A basis makes one phi call per distinct
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -30,9 +31,18 @@ import numpy as np
 
 __all__ = ["phi", "basis", "Coefficient"]
 
-# Terms needed for the Taylor branch: worst case |z| ~ k <= 8 converges to
-# 1e-18 relative well inside this cap.
-_MAX_TAYLOR_TERMS = 200
+
+@functools.cache
+def _taylor_terms(k: int) -> int:
+    # the stopping rule |term| <= 1e-18 |sum| run at the branch's slowest
+    # point, z = -max(1, k), plus 2: later terms add under half an ulp anywhere
+    z, n = -max(1.0, float(k)), 0
+    acc = term = 1.0 / math.factorial(k)
+    while abs(term) > 1e-18 * abs(acc):
+        n += 1
+        term = term * z / (n + k)
+        acc = acc + term
+    return n + 2
 
 
 def _phi_taylor(k: int, z: np.ndarray) -> np.ndarray:
@@ -41,11 +51,9 @@ def _phi_taylor(k: int, z: np.ndarray) -> np.ndarray:
     # most one digit to cancellation.
     acc = np.full(z.shape, 1.0 / math.factorial(k))
     term = acc.copy()
-    for m in range(1, _MAX_TAYLOR_TERMS):
+    for m in range(1, _taylor_terms(k) + 1):
         term = term * z / (m + k)
         acc = acc + term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-            break
     return acc
 
 

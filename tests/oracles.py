@@ -5,6 +5,9 @@ from these helpers does not share its sine transform with
 ``SpectralOperator.forward``, and the stencil product and quadrature inner
 product take no transform at all.
 
+phi: the Taylor series of ``phi_k`` summed until every term is at most
+1e-18 of its running sum, a stopping rule checked after each term.
+
 Tableaux and differentiation matrices: ``D(z)`` through a linear solve with
 ``A(z)`` instead of the DOC recursion, the average dissipation rate in closed
 form from the diagonal of ``A(z)``, the residual of the DOC identity, the
@@ -13,6 +16,7 @@ residuals, and the large-|z| rate condition of the two-parameter third-order
 family in closed form.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +27,20 @@ from eerk.dissipation import doc_kernels
 from eerk.phi import phi
 from eerk.spatial import SpectralOperator
 from eerk.tableaux import MethodError, Tableau, coefficient_matrix
+
+
+def phi_taylor_adaptive(k: int, z: np.ndarray) -> np.ndarray:
+    """The Taylor series of ``phi_k`` at the points ``z``, ``|z| < max(1, k)``,
+    summed until every point's last term is at most 1e-18 of its sum (at
+    most 200 terms)."""
+    acc = np.full(z.shape, 1.0 / math.factorial(k))
+    term = acc.copy()
+    for m in range(1, 200):
+        term = term * z / (m + k)
+        acc = acc + term
+        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+            break
+    return acc
 
 
 def build_laplacian_1d(length: float, m: int) -> SpectralOperator:

@@ -1,5 +1,6 @@
 """Tests for the benchmark drivers and the CLI."""
 
+import argparse
 import math
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from eerk.bench import (
     write_csv,
 )
 import eerk.dissipation as dissipation
-from eerk.cli import main
+from eerk.cli import _config, build_parser, main
 from eerk.dissipation import SingularDiagonalError, classify_method, doc_kernels
 from eerk.integrator import integrate
 from eerk.tableaux import butcher_diff, get_method
@@ -323,6 +324,70 @@ def test_cli_converge_zero_error_has_undefined_order(taus, zero_row, capsys, tmp
 # --------------------------------------------------------------------------
 # CLI
 # --------------------------------------------------------------------------
+
+
+_PROBLEM_FLAGS = {"--tau": "tau", "--kappa": "kappa", "--eps": "eps", "--T": "T", "--m": "m",
+                  "--h": "h", "--ic": "ic"}
+_COMMON_FLAGS = {"--method": "method", "--config": "config", "--out": "out"}
+# every flag of every subcommand, option string -> dest
+_FLAGS = {
+    "catalog": {},
+    "analyze": {**_COMMON_FLAGS, "--grid": "grid", "--implicit": "implicit"},
+    "rate": {**_COMMON_FLAGS, "--grid": "grid", "--implicit": "implicit"},
+    "converge": {**_COMMON_FLAGS, **_PROBLEM_FLAGS, "--ref-method": "ref_method",
+                 "--ref-tau": "ref_tau"},
+    "energy": {**_COMMON_FLAGS, **_PROBLEM_FLAGS, "--monitor": "monitor"},
+}
+
+
+def _subparsers():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def test_cli_flags_are_pinned():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(_FLAGS)
+    for command, flags in _FLAGS.items():
+        actions = [a for a in subparsers[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert {a.option_strings[0]: a.dest for a in actions} == flags, command
+        for a in actions:
+            assert len(a.option_strings) == 1 and not a.required, (command, a.option_strings)
+            if a.dest == "method":
+                assert isinstance(a, argparse._AppendAction) and a.metavar == "SPEC"
+            else:
+                assert a.metavar is None, (command, a.dest)
+                # a switch takes no value, every other flag exactly one
+                assert a.nargs == (0 if a.dest in ("monitor", "implicit") else None), (command, a.dest)
+
+
+def test_cli_flags_parse_as_config_strings():
+    parse = build_parser().parse_args
+    args = parse(["energy", "--method", "etd1", "--method", "eerk2:c2=1", "--monitor", "--T", "2"])
+    assert (args.method, args.monitor, args.T, args.tau) == (["etd1", "eerk2:c2=1"], "on", "2", None)
+    assert parse(["converge", "--ref-method", "etd1"]).ref_method == "etd1"
+    assert parse(["rate", "--implicit"]).implicit == "on"
+    assert parse(["analyze"]).implicit is None
+    for argv in (["energy", "--monitor", "on"], ["catalog", "--method", "etd1"],
+                 ["analyze", "--T", "1"], ["converge", "--monitor"], ["energy", "--grid", "x"]):
+        with pytest.raises(SystemExit):
+            parse(argv)
+
+
+def test_cli_energy_defaults_lie_below_the_config_file(tmp_path):
+    parse = build_parser().parse_args
+    cfg = _config(parse(["energy"]))
+    assert (cfg.taus, cfg.t_final, cfg.ic) == ([0.1], 160, "bumps")
+    # the other subcommands keep the ExperimentConfig defaults
+    cfg = _config(parse(["converge"]))
+    assert (cfg.taus, cfg.t_final, cfg.ic) == ([0.01, 0.005, 0.0025, 0.00125], 8.0, "sine")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("tau = 0.2\nT = 0.8\nic = sine\nmonitor = on\n")
+    cfg = _config(parse(["energy", "--config", str(cfgfile)]))
+    assert (cfg.taus, cfg.t_final, cfg.ic, cfg.monitor) == ([0.2], 0.8, "sine", True)
+    cfg = _config(parse(["energy", "--config", str(cfgfile), "--T", "0.4", "--ic", "bumps"]))
+    assert (cfg.taus, cfg.t_final, cfg.ic) == ([0.2], 0.4, "bumps")
 
 
 def test_cli_catalog(capsys):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eerk.phi import basis, phi
+from eerk.phi import _phi_taylor, basis, phi
+from oracles import phi_taylor_adaptive
 
 # Reference values computed beforehand with a 50-digit mpmath evaluation of
 # the recursion seeded by exp; frozen here so the test stays independent of
@@ -108,6 +109,29 @@ def test_domain_errors():
         phi(1, float("inf"))
     with pytest.raises(ValueError):
         phi(2, np.array([0.0, float("nan")]))
+
+
+def _taylor_branch_points(k):
+    """A dense grid of the Taylor branch ``|z| < max(1, k)``: both signs,
+    the points next to its edge and magnitudes down to 1e-300, and 0."""
+    edge = max(1.0, k)
+    inner = np.linspace(-edge, edge, 100_001)[1:-1]
+    tiny = np.logspace(-300, np.log10(edge) - 1e-12, 3001)
+    near = edge * (1.0 - 2.0 ** -np.arange(1, 53))
+    return np.concatenate([inner, tiny, -tiny, near, -near, [0.0, -0.0]])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_taylor_branch_is_bit_identical_to_the_stopping_rule(k):
+    # a fixed number of terms per order gives the sum of the series summed
+    # until its terms fall below 1e-18 of the sum, bit for bit: on the whole
+    # grid at once, and point by point on every 997th point
+    z = _taylor_branch_points(k)
+    assert np.all(np.abs(z) < max(1.0, k))
+    got = _phi_taylor(k, z)
+    assert got.tobytes() == phi_taylor_adaptive(k, z).tobytes()
+    for i in range(0, len(z), 997):
+        assert got[i] == phi_taylor_adaptive(k, z[i:i + 1])[0]
 
 
 # --------------------------------------------------------------------------
