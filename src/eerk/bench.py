@@ -493,20 +493,18 @@ def run_analysis(cfg: ExperimentConfig):
 
 
 def run_rate(cfg: ExperimentConfig):
-    """Average dissipation rate curves per method (optionally the
-    pure-implicit variant alongside)."""
+    """Average dissipation rate curves per method, each the CSV's columns:
+    the grid ``z``, ``rate`` and, with ``implicit``, ``rate_implicit``."""
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
     _make_out_dir(cfg)
     curves = {}
     for t in tableaux:
-        rate = average_dissipation_rate(t, grid)
-        data = {"rate": rate}
+        data = {"z": grid, "rate": average_dissipation_rate(t, grid)}
         if cfg.implicit:
             data["rate_implicit"] = average_dissipation_rate(t, grid, "implicit")
         curves[t.label] = data
         if cfg.out is not None:
-            header = ["z", "rate"] + (["rate_implicit"] if cfg.implicit else [])
-            write_csv(cfg.out / f"{_slug(t.label)}_rate.csv", header,
-                      np.column_stack([grid, *data.values()]).tolist())
+            write_csv(cfg.out / f"{_slug(t.label)}_rate.csv", list(data),
+                      np.column_stack(list(data.values())).tolist())
     return curves

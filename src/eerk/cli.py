@@ -61,13 +61,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    cfg = _config(args)
-    curves = run_rate(cfg)
-    grid = cfg.z_grid()
-    for label, data in curves.items():
-        tail = data["rate"][0]   # most negative grid point
-        head = data["rate"][-1]  # closest to zero
-        print(f"{label:28s} R({grid[-1]:.3g}) = {head:.6g}   R({grid[0]:.3g}) = {tail:.6g}")
+    for label, data in run_rate(_config(args)).items():
+        z, rate = data["z"], data["rate"]  # ascending: z[0] most negative
+        print(f"{label:28s} R({z[-1]:.3g}) = {rate[-1]:.6g}   R({z[0]:.3g}) = {rate[0]:.6g}")
     return 0
 
 
@@ -116,7 +112,7 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per ``_COMMANDS`` entry; a boolean key's flag is a
-    switch that stores ``on``."""
+    switch whose value is optional, ``on`` when left out."""
     parser = argparse.ArgumentParser(
         prog="eerk",
         description="Exponential Runge-Kutta gradient-flow benchmarks")
@@ -131,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
             _, parse, text = _KEYS[key]
             flag = "--" + key.replace("_", "-")
             if parse is _parse_bool:
-                sub.add_argument(flag, action="store_const", const="on", help=text)
+                sub.add_argument(flag, nargs="?", const="on", help=text)
             else:
                 sub.add_argument(flag, help=text)
     return parser

@@ -30,7 +30,7 @@ every leading principal minor of ``S`` is nonnegative (up to a
 magnitude-aware tolerance) at every grid point, else ``NPD`` with a witness
 refined by bisection toward the sign change; a non-finite minor is an error.
 One private scan forms ``D(z)`` once and gives the rate, the minors and
-their verdicts, for the grid, each bisection point and the witness alike.
+their verdicts for the grid and each bisection point, whose rows give the witness.
 """
 
 from __future__ import annotations
@@ -203,7 +203,8 @@ def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):
     The tolerance scales with the matrix magnitude: minor ``j`` must stay
     above ``-_TOL * max(1, max_k |S_kk|)^j``.  On failure the witness is the
     smallest-|z| violating grid point, sharpened by 20 bisection steps
-    toward the adjacent passing point.  Raises
+    toward the adjacent passing point; its minor comes from the scan that
+    judged it, the grid's or the last failing midpoint's.  Raises
     :class:`SingularDiagonalError` where a minor is not finite.
     """
     grid = default_z_grid() if z_grid is None else np.sort(np.asarray(z_grid, dtype=float))
@@ -218,16 +219,16 @@ def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):
         return grid, rate, minors, Classification("PSD-on-grid", None)
 
     idx = int(np.max(np.nonzero(violating)[0]))  # ascending grid: largest z
-    z_fail = float(grid[idx])
+    z_fail, w_minors, w_below = float(grid[idx]), minors[idx], below[idx]
     if idx + 1 < grid.size:
         z_pass = float(grid[idx + 1])
         for _ in range(20):
             mid = 0.5 * (z_fail + z_pass)
-            if np.any(_scan(t, mid, variant)[2]):
-                z_fail = mid
+            _, mid_minors, mid_below = _scan(t, mid, variant)
+            if np.any(mid_below):
+                z_fail, w_minors, w_below = mid, mid_minors, mid_below
             else:
                 z_pass = mid
-    _, w_minors, w_below = _scan(t, z_fail, variant)
     j = int(np.argmax(w_below))  # the first violating minor
     return grid, rate, minors, Classification("NPD", Witness(z_fail, j + 1, float(w_minors[j])))
 

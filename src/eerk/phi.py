@@ -34,15 +34,15 @@ __all__ = ["phi", "basis", "Coefficient"]
 
 @functools.cache
 def _taylor_terms(k: int) -> int:
-    # the stopping rule |term| <= 1e-18 |sum| run at the branch's slowest
-    # point, z = -max(1, k), plus 2: later terms add under half an ulp anywhere
+    # terms until one is at most 2**-54 (half an ulp) of the sum at the
+    # branch's slowest point, z = -max(1, k): later terms round away anywhere
     z, n = -max(1.0, float(k)), 0
     acc = term = 1.0 / math.factorial(k)
-    while abs(term) > 1e-18 * abs(acc):
+    while abs(term) > 2.0 ** -54 * abs(acc):
         n += 1
         term = term * z / (n + k)
         acc = acc + term
-    return n + 2
+    return n
 
 
 def _phi_taylor(k: int, z: np.ndarray) -> np.ndarray:
@@ -71,6 +71,7 @@ def phi(k: int, z) -> Union[float, np.ndarray]:
 
     Relative accuracy is ~1e-14 or better over ``z in [-1e6, 1]`` for
     ``k <= 8``; ``phi_k(0)`` is the correctly rounded value of ``1/k!``.
+    Below ``|z| = max(1, k)`` the Taylor series' length is derived from half an ulp.
     Raises ``ValueError`` for negative ``k`` or non-finite ``z``.
     """
     if k < 0 or int(k) != k:

@@ -358,8 +358,10 @@ def test_cli_flags_are_pinned():
                 assert isinstance(a, argparse._AppendAction) and a.metavar == "SPEC"
             else:
                 assert a.metavar is None, (command, a.dest)
-                # a switch takes no value, every other flag exactly one
-                assert a.nargs == (0 if a.dest in ("monitor", "implicit") else None), (command, a.dest)
+                # a switch takes an optional value, on when left out; every
+                # other flag exactly one
+                switch = a.dest in ("monitor", "implicit")
+                assert (a.nargs, a.const) == (("?", "on") if switch else (None, None)), (command, a.dest)
 
 
 def test_cli_flags_parse_as_config_strings():
@@ -368,8 +370,9 @@ def test_cli_flags_parse_as_config_strings():
     assert (args.method, args.monitor, args.T, args.tau) == (["etd1", "eerk2:c2=1"], "on", "2", None)
     assert parse(["converge", "--ref-method", "etd1"]).ref_method == "etd1"
     assert parse(["rate", "--implicit"]).implicit == "on"
+    assert parse(["energy", "--monitor", "off", "--T", "2"]).monitor == "off"
     assert parse(["analyze"]).implicit is None
-    for argv in (["energy", "--monitor", "on"], ["catalog", "--method", "etd1"],
+    for argv in (["catalog", "--method", "etd1"],
                  ["analyze", "--T", "1"], ["converge", "--monitor"], ["energy", "--grid", "x"]):
         with pytest.raises(SystemExit):
             parse(argv)
@@ -388,6 +391,22 @@ def test_cli_energy_defaults_lie_below_the_config_file(tmp_path):
     assert (cfg.taus, cfg.t_final, cfg.ic, cfg.monitor) == ([0.2], 0.8, "sine", True)
     cfg = _config(parse(["energy", "--config", str(cfgfile), "--T", "0.4", "--ic", "bumps"]))
     assert (cfg.taus, cfg.t_final, cfg.ic) == ([0.2], 0.4, "bumps")
+
+
+def test_cli_switch_given_off_overrides_the_config_file(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("method = etd1\nm = 7\ntau = 0.1\nT = 0.2\nmonitor = on\n")
+    out = tmp_path / "off"
+    assert main(["energy", "--config", str(cfgfile), "--monitor", "off", "--out", str(out)]) == 0
+    assert "stage law" not in capsys.readouterr().out
+    assert (out / "etd1_energy.csv").exists() and not list(out.glob("*_margins.csv"))
+    # analyze --implicit off classifies the standard variant
+    assert main(["analyze", "--method", "etd3rk", "--implicit", "off"]) == 0
+    w = classify_method(get_method("etd3rk")).witness
+    assert f"minor {w.minor_index} = {w.minor_value:.6g}\n" in capsys.readouterr().out
+    assert main(["energy", "--method", "etd1", "--monitor", "perhaps"]) == 2
+    assert capsys.readouterr().err == ("error: cannot parse monitor='perhaps': "
+                                       "expected 1/0, true/false, on/off or yes/no\n")
 
 
 def test_cli_catalog(capsys):
@@ -586,7 +605,9 @@ def test_cli_unwritable_csv_is_a_config_error(capsys, tmp_path):
 
 def test_analysis_with_curves_forms_each_grid_once(monkeypatch, tmp_path):
     # one D(z) on the full grid per method gives both the minor curves and
-    # the verdict; only the bisection and the witness form D at single points
+    # the verdict, and the witness comes from the scan that judged it; only
+    # the 20 bisection steps of each of the two NPD methods, eerk2w:c2=1/4
+    # and ho4, form D at single points
     ndims = []
     full = dissipation.differentiation_matrix
 
@@ -596,7 +617,7 @@ def test_analysis_with_curves_forms_each_grid_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(dissipation, "differentiation_matrix", counted)
     run_analysis(ExperimentConfig(methods=["etd1", "eerk2w:c2=1/4", "ho4"], out=tmp_path))
-    assert ndims.count(1) == 3 and ndims.count(0) == 42 and len(ndims) == 45
+    assert ndims.count(1) == 3 and ndims.count(0) == 40 and len(ndims) == 43
 
 
 def test_cli_analyze_prints_the_npd_witness(capsys):

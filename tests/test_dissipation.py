@@ -14,8 +14,9 @@ from eerk.dissipation import (
     doc_kernels,
     leading_principal_minors,
     scan_method,
+    _scan,
 )
-from eerk.tableaux import butcher_diff, get_method
+from eerk.tableaux import butcher_diff, get_method, parse_method
 from oracles import (
     average_dissipation_rate_closed_form,
     differentiation_matrix_inverse_route,
@@ -264,6 +265,18 @@ def test_npd_witness_is_pinned(name, variant, z, index, value):
     assert w.minor_index == index
     assert w.z == pytest.approx(z, rel=1e-12, abs=0)
     assert w.minor_value == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name,variant", [w[:2] for w in NPD_WITNESSES]
+                         + [("eerk2:c2=2/5", "standard"), ("eerk2w:c2=2553/10000", "implicit")])
+def test_npd_witness_is_a_fresh_scan_of_its_z(name, variant):
+    # the witness is read from the scan that judged it (the grid row or the
+    # last failing bisection point); scanning its z afresh gives it bit for bit
+    t = parse_method(name)
+    w = scan_method(t, variant=variant)[3].witness
+    _, minors, below = _scan(t, w.z, variant)
+    j = int(np.argmax(below))
+    assert below[j] and (w.minor_index, w.minor_value) == (j + 1, minors[j])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -7,10 +7,11 @@ drawn away from its three degenerate choices, which ``get_method`` refuses.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eerk.dissipation import default_z_grid
+from eerk.dissipation import VARIANTS, SingularDiagonalError, _scan, default_z_grid
 from eerk.tableaux import catalog, coefficient_matrix, get_method, parse_method
 from oracles import verify_row_sums
 
@@ -54,6 +55,25 @@ def test_scalar_evaluation_is_the_row_of_a_batched_one(t, zs):
     batch = coefficient_matrix(t, z)
     for i, zi in enumerate(zs):
         assert np.array_equal(coefficient_matrix(t, zi), batch[i]), (t.label, zi)
+
+
+@PROPERTY
+@given(tableaux(max_q=12), st.lists(st.floats(-1e4, 0.0), min_size=1, max_size=8),
+       st.sampled_from(VARIANTS))
+def test_scalar_scan_is_the_row_of_a_batched_one(t, zs, variant):
+    # scan_method reads an NPD witness from the grid scan's row, so that row
+    # must be what a scan of its z alone gives, minors and verdicts alike
+    try:
+        _, minors, below = _scan(t, np.array(zs), variant)
+    except SingularDiagonalError:
+        with pytest.raises(SingularDiagonalError):
+            for zi in zs:
+                _scan(t, zi, variant)
+        return
+    for i, zi in enumerate(zs):
+        _, row_minors, row_below = _scan(t, zi, variant)
+        assert minors[i].tobytes() == row_minors.tobytes(), (t.label, zi)
+        assert np.array_equal(below[i], row_below), (t.label, zi)
 
 
 @PROPERTY
