@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
             _, parse, text = _KEYS[key]
             flag = "--" + key.replace("_", "-")
             if parse is _parse_bool:
-                sub.add_argument(flag, nargs="?", const="on", help=text)
+                sub.add_argument(flag, nargs="?", const="on", metavar="on|off", help=text)
             else:
                 sub.add_argument(flag, help=text)
     return parser

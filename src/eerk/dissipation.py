@@ -23,7 +23,8 @@ The scalar ``trace(D)/s`` is the *average dissipation rate* R(z): values
 near 1 mean the discrete energy decays at about the continuous rate, larger
 values mean a time-"ahead" effect.  It is read off the same ``D(z)``, whose
 diagonal ``1/a_{k+1,k}(z) + z/2`` (``+ z`` implicit) stays finite where
-entries below it overflow.
+entries below it overflow; one helper averages it, finite wherever every
+diagonal entry is.
 
 Classification scans a grid of ``z <= 0``: a method is ``PSD-on-grid`` when
 every leading principal minor of ``S`` is nonnegative (up to a
@@ -137,14 +138,28 @@ def leading_principal_minors(d: np.ndarray) -> np.ndarray:
     return minors
 
 
+def _rate(diag: np.ndarray):
+    """``trace(D)/s`` from the diagonal of ``D``, shape ``(..., s)``.
+
+    The entries are divided by ``p``, the least power of two ``>= s``, before
+    they are summed, and the sum by ``s/p``: outside the subnormal range both
+    steps are exact scalings, so the bits are those of ``sum/s``, and the sum
+    cannot overflow where every entry is finite.
+    """
+    s = diag.shape[-1]
+    p = 2.0 ** (s - 1).bit_length()
+    return (diag / p).sum(axis=-1) / (s / p)
+
+
 def average_dissipation_rate(t: Tableau, z, variant: str = "standard"):
     """``R(z) = trace(D)/s`` of the given variant, shape ``z.shape``.
 
     Only the diagonal of ``D`` enters, so the rate stays finite where
-    entries below the diagonal overflow.
+    entries below the diagonal overflow, and wherever every diagonal entry
+    is finite, also where their plain sum would overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.trace(differentiation_matrix(t, z, variant), axis1=-2, axis2=-1) / t.stages
+        return _rate(np.diagonal(differentiation_matrix(t, z, variant), axis1=-2, axis2=-1))
 
 
 def default_z_grid() -> np.ndarray:
@@ -187,11 +202,12 @@ def _scan(t: Tableau, z, variant: str) -> tuple:
         diag = np.diagonal(d, axis1=-2, axis2=-1)
         scale = np.maximum(1.0, np.max(np.abs(diag), axis=-1))
         below = minors < -_TOL * scale[..., None] ** np.arange(1, t.stages + 1)
+        rate = _rate(diag)
     finite = np.all(np.isfinite(minors), axis=-1)
     if not np.all(finite):
         z0 = np.ravel(z)[np.argmin(np.ravel(finite))]
         raise SingularDiagonalError(f"{t.label}: a leading principal minor is not finite at z={z0:.6g}")
-    return np.trace(d, axis1=-2, axis2=-1) / t.stages, minors, below
+    return rate, minors, below
 
 
 def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):

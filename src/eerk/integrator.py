@@ -303,15 +303,12 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
             stage_rows = slice(1, k * s + 1)
             sup = np.max(np.abs(u[:, stage_rows]), axis=2)
             sup_norms[:, n0 + 1:n0 + k + 1] = sup[:, s - 1::s]
+            rows = stage_rows if monitor else slice(s, k * s + 1, s)
+            recorded = problem.energy(u[:, rows], u_hat[:, rows]).reshape(members, k, -1)
+            energies[:, n0 + 1:n0 + k + 1] = recorded[:, :, -1]
             if monitor:
-                stage_energies = problem.energy(u[:, stage_rows], u_hat[:, stage_rows])
-                stage_energies = stage_energies.reshape(members, k, s)
-                energies[:, n0 + 1:n0 + k + 1] = stage_energies[:, :, -1]
                 margins[:, n0:n0 + k], floors[:, n0:n0 + k] = ws.margins(
-                    stage_energies, energies[:, n0:n0 + k])
-            else:
-                ends = slice(s, k * s + 1, s)
-                energies[:, n0 + 1:n0 + k + 1] = problem.energy(u[:, ends], u_hat[:, ends])
+                    recorded, energies[:, n0:n0 + k])
             for b, hook in enumerate(hooks):
                 if diverged_steps[b] is not None:
                     continue

@@ -357,10 +357,10 @@ def test_cli_flags_are_pinned():
             if a.dest == "method":
                 assert isinstance(a, argparse._AppendAction) and a.metavar == "SPEC"
             else:
-                assert a.metavar is None, (command, a.dest)
-                # a switch takes an optional value, on when left out; every
-                # other flag exactly one
+                # a switch takes an optional value, on when left out, and
+                # names the values it takes; every other flag exactly one
                 switch = a.dest in ("monitor", "implicit")
+                assert a.metavar == ("on|off" if switch else None), (command, a.dest)
                 assert (a.nargs, a.const) == (("?", "on") if switch else (None, None)), (command, a.dest)
 
 
@@ -651,15 +651,16 @@ def test_cli_converge_zero_horizon_is_a_config_error(capsys, tmp_path):
 @pytest.mark.parametrize("method,grid", [
     # the minors of S leave the float64 range here, and analyze exits 2
     ("cm4", "lin:-1e160:-1e150:3"),
-    # entries of D below its diagonal overflow at -1.75e307
+    # entries of D below its diagonal overflow at -1.75e307, and there the
+    # implicit diagonal entries are finite but their sum is not
     ("eerk32:c2=7/10,c3=1", "lin:-1.75e307:-1e307:3"),
 ], ids=["minors", "below-diagonal"])
 def test_cli_rate_reads_only_the_diagonal(method, grid, tmp_path):
     # the rate is read off the diagonal of D, which stays finite
-    assert main(["rate", "--method", method, "--grid", grid, "--out", str(tmp_path)]) == 0
+    assert main(["rate", "--method", method, "--grid", grid, "--implicit", "--out", str(tmp_path)]) == 0
     (csv,) = tmp_path.iterdir()
-    rate = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1]
-    assert rate.shape == (3,) and np.all(np.isfinite(rate))
+    rates = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1:]
+    assert rates.shape == (3, 2) and np.all(np.isfinite(rates))
 
 
 def test_singular_diagonal_errors_name_method_and_z(capsys, tmp_path):

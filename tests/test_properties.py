@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eerk.dissipation import VARIANTS, SingularDiagonalError, _scan, default_z_grid
+from eerk.dissipation import (
+    VARIANTS,
+    SingularDiagonalError,
+    _scan,
+    average_dissipation_rate,
+    default_z_grid,
+    differentiation_matrix,
+)
 from eerk.tableaux import catalog, coefficient_matrix, get_method, parse_method
 from oracles import verify_row_sums
 
@@ -74,6 +81,21 @@ def test_scalar_scan_is_the_row_of_a_batched_one(t, zs, variant):
         _, row_minors, row_below = _scan(t, zi, variant)
         assert minors[i].tobytes() == row_minors.tobytes(), (t.label, zi)
         assert np.array_equal(below[i], row_below), (t.label, zi)
+
+
+@PROPERTY
+@given(tableaux(max_q=12), st.lists(st.floats(-1e4, 0.0), min_size=1, max_size=8),
+       st.sampled_from(VARIANTS))
+def test_scan_rate_is_the_average_dissipation_rate(t, zs, variant):
+    # the rate of the analysis curves and that of `eerk rate` are one
+    # formula, with the bits of trace(D)/s
+    z = np.array(zs)
+    try:
+        rate = _scan(t, z, variant)[0]
+    except SingularDiagonalError:
+        return
+    trace = np.trace(differentiation_matrix(t, z, variant), axis1=-2, axis2=-1) / t.stages
+    assert rate.tobytes() == average_dissipation_rate(t, z, variant).tobytes() == trace.tobytes(), t.label
 
 
 @PROPERTY
