@@ -96,10 +96,7 @@ def _make_out_dir(cfg) -> None:
 
 
 def _slug(label: str) -> str:
-    out = label
-    for ch in ":=,/":
-        out = out.replace(ch, "-")
-    return out
+    return label.translate(str.maketrans(":=,/", "----"))
 
 
 def initial_profile(name: str, x: np.ndarray) -> np.ndarray:

@@ -21,10 +21,10 @@ loop and ``D(z)``.
 
 The scalar ``trace(D)/s`` is the *average dissipation rate* R(z): values
 near 1 mean the discrete energy decays at about the continuous rate, larger
-values mean a time-"ahead" effect.  It is read off the same ``D(z)``, whose
-diagonal ``1/a_{k+1,k}(z) + z/2`` (``+ z`` implicit) stays finite where
-entries below it overflow; one helper averages it, finite wherever every
-diagonal entry is.
+values mean a time-"ahead" effect.  It reads only the diagonal of ``D(z)``,
+``1/a_{k+1,k}(z) + z/2`` (``+ z`` implicit), which one helper forms from
+the diagonal of ``A(z)`` for ``D(z)`` and the rate alike; it stays finite
+where entries below it overflow, and one helper averages it.
 
 Classification scans a grid of ``z <= 0``: a method is ``PSD-on-grid`` when
 every leading principal minor of ``S`` is nonnegative (up to a
@@ -97,27 +97,32 @@ def doc_kernels(dt: Tableau, z) -> np.ndarray:
     return _theta_from_abar(coefficient_matrix(dt, z), z, dt.label)
 
 
+def _diagonal(a_diag: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
+    """The diagonal of ``D(z)``, ``1/a_{k+1,k} + z`` less ``z/2`` if standard,
+    from that of ``A(z)``: the one place it is formed and the variant read."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _first_zero(a_diag, z, label)
+    diag = 1.0 / a_diag + z[..., None]
+    return diag - z[..., None] / 2.0 if variant == "standard" else diag
+
+
 def _from_coefficients(a: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
     """``D(z)``, shape ``(n, s, s)``, from the evaluated ``A(z)``, shape
     ``(n, s, s)``, at the ``(n,)`` points ``z``."""
     abar = a.copy()
     abar[..., 1:, :] -= a[..., :-1, :]
-    theta = _theta_from_abar(abar, z, label)
     s = a.shape[-1]
-    lower = np.tri(s)
-    zz = z[..., None, None]
-    if variant == "standard":
-        # z/2 * (2 - delta_kl) on the lower triangle
-        return theta + zz * lower - (zz / 2.0) * np.eye(s)
-    return theta + zz * lower
+    diag = _diagonal(abar[..., range(s), range(s)], z, variant, label)
+    d = _theta_from_abar(abar, z, label) + z[..., None, None] * np.tri(s, k=-1)
+    d[..., range(s), range(s)] = diag
+    return d
 
 
 def differentiation_matrix(t: Tableau, z, variant: str = "standard") -> np.ndarray:
     """Differentiation matrix ``D(z)`` (or the implicit variant) at ``z``,
     shape ``z.shape + (s, s)``, built from the evaluated ``A(z)`` through
     the DOC recursion."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     z = np.asarray(z, dtype=float)
     return _from_coefficients(coefficient_matrix(t, z), z, variant, t.label)
 
@@ -152,14 +157,13 @@ def _rate(diag: np.ndarray):
 
 
 def average_dissipation_rate(t: Tableau, z, variant: str = "standard"):
-    """``R(z) = trace(D)/s`` of the given variant, shape ``z.shape``.
-
-    Only the diagonal of ``D`` enters, so the rate stays finite where
-    entries below the diagonal overflow, and wherever every diagonal entry
-    is finite, also where their plain sum would overflow.
-    """
+    """``R(z) = trace(D)/s`` of the given variant, shape ``z.shape``, from the
+    diagonal of ``A(z)`` alone, with no DOC recursion: finite wherever every
+    diagonal entry of ``D`` is, also where entries below it or their sum overflow."""
+    z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rate(np.diagonal(differentiation_matrix(t, z, variant), axis1=-2, axis2=-1))
+        a_diag = np.diagonal(coefficient_matrix(t, z), axis1=-2, axis2=-1)
+        return _rate(_diagonal(a_diag, z, variant, t.label))
 
 
 def default_z_grid() -> np.ndarray:

@@ -13,8 +13,9 @@ numpy alone.
   ``eps^2 L^2 + kappa L``, the stabilized nonlinearity
   ``L((1 + kappa) u - u^3)``, and energies/monitoring use the H^{-1} inner
   product ``<u, L^{-1} v>``.
-* ``StabilizedSemilinear(kappa, g)``: the stiff operator is ``L + kappa I``
-  with nonlinearity ``g(u) + kappa u`` in the plain L^2 setting.
+* ``StabilizedSemilinear(kappa, g, potential)``: the stiff operator is
+  ``L + kappa I`` with nonlinearity ``g(u) + kappa u`` and energy density
+  ``potential`` in the plain L^2 setting.
 
 A ``Problem`` fixes its spectral maps once, over the eigenvalues: ``mu``,
 those of the stiff operator; ``factor`` (``L`` for Cahn-Hilliard, 1
@@ -113,13 +114,13 @@ class CahnHilliard:
 class StabilizedSemilinear:
     """Shifted semilinear problem ``u' = -(L + kappa) u + g(u) + kappa u``.
 
-    ``potential`` (optional) is the pointwise Lyapunov density ``G`` with
-    ``g = -G'``; it is only needed when energies are requested.
+    ``potential`` is the pointwise Lyapunov density ``G`` with ``g = -G'``;
+    it is required, since every integration records stage energies.
     """
 
     kappa: float
     g: Callable[[np.ndarray], np.ndarray]
-    potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    potential: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,6 @@ class Problem:
         if isinstance(self.kind, CahnHilliard):
             w = v * v - 1.0  # G(v) = w^2 / 4
             scale, bulk = self.kind.eps * self.kind.eps, 0.25 * np.einsum("...m,...m->...", w, w)
-        elif self.kind.potential is None:
-            raise ValueError("semilinear problem has no potential; cannot form an energy")
         else:
             scale, bulk = 1.0, np.sum(self.kind.potential(v), axis=-1)
         v_hat = self.op.forward(v) if v_hat is None else v_hat

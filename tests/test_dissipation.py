@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import eerk.dissipation as dissipation
 from eerk.phi import phi
 from eerk.dissipation import (
+    VARIANTS,
     Classification,
     SingularDiagonalError,
     average_dissipation_rate,
@@ -14,6 +16,7 @@ from eerk.dissipation import (
     doc_kernels,
     leading_principal_minors,
     scan_method,
+    _rate,
     _scan,
 )
 from eerk.tableaux import butcher_diff, get_method, parse_method
@@ -356,6 +359,45 @@ def test_rate_equals_scaled_trace():
             r = average_dissipation_rate(t, grid, variant)
             closed = average_dissipation_rate_closed_form(t, grid, variant)
             assert np.max(np.abs(r - closed)) < 1e-12 * np.max(np.abs(r)), (name, variant)
+
+
+def test_rate_needs_no_doc_kernels(monkeypatch):
+    # the rate reads the diagonal of A(z) alone; D(z) still needs the recursion
+    def refuse(*args):
+        raise RuntimeError("the DOC recursion ran")
+
+    monkeypatch.setattr(dissipation, "_theta_from_abar", refuse)
+    grid = default_z_grid()
+    for name, params in CATALOG:
+        t = get_method(name, **params)
+        for variant in VARIANTS:
+            assert average_dissipation_rate(t, grid, variant).shape == grid.shape, (name, variant)
+            with pytest.raises(RuntimeError, match="the DOC recursion ran"):
+                differentiation_matrix(t, grid, variant)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_is_the_averaged_diagonal_of_d_past_the_property_range():
+    # above |z| = 1e4 entries below the diagonal overflow and the scan
+    # refuses; the rate keeps the bits of trace(D)/s, with D from both
+    # routes, or raises the error D raises
+    grid = -np.logspace(4, 300, 297)
+    refused = {}
+    for name, params in CATALOG:
+        t = get_method(name, **params)
+        for variant in VARIANTS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rate = _outcome(average_dissipation_rate, t, grid, variant)
+                routes = [_outcome(route, t, grid, variant)
+                          for route in (differentiation_matrix, _symbolic_route)]
+                if isinstance(rate, str) or any(isinstance(d, str) for d in routes):
+                    assert rate == routes[0] == routes[1], (name, variant)
+                    refused[name] = rate
+                    continue
+                for d in routes:
+                    want = _rate(np.diagonal(d, axis1=-2, axis2=-1))
+                    assert rate.tobytes() == want.tobytes(), (name, variant)
+    assert refused == {"ho4": "ho4: a diagonal coefficient vanishes at z=-1e+17"}
 
 
 def test_implicit_rate_offset():

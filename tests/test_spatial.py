@@ -225,9 +225,9 @@ def test_semilinear_problem():
     u = np.linspace(-1, 1, 20)
     assert np.max(np.abs(op.forward(g_stabilized(p, u)) - (-u**3 + u))) < 1e-14
     assert p.energy(u) > 0
-    bare = Problem(op, StabilizedSemilinear(kappa=1.0, g=lambda u: -u**3))
-    with pytest.raises(ValueError):
-        bare.energy(u)
+    # a semilinear problem without a potential cannot be built
+    with pytest.raises(TypeError):
+        StabilizedSemilinear(kappa=1.0, g=lambda u: -u**3)
 
 
 def test_errors():
@@ -240,8 +240,8 @@ def test_errors():
         apply(op, lambda lam: np.full_like(lam, np.inf), np.zeros(8))
     with pytest.raises(ValueError):
         inner(op, np.zeros(8), np.zeros(8), metric="h2")
-    with pytest.raises(ValueError):
-        Problem(op, StabilizedSemilinear(kappa=1.0, g=lambda u: u)).energy(np.zeros(8))
+    with pytest.raises(TypeError):
+        StabilizedSemilinear(kappa=1.0, g=lambda u: u)
     with pytest.raises(ValueError):
         # eps^2 lam^2 + kappa lam < 0 on the lowest mode
         Problem(op, CahnHilliard(eps=0.2, kappa=-5.0))
@@ -253,4 +253,5 @@ def test_errors():
                 Problem(op, CahnHilliard(eps=eps, kappa=kappa))
         for kappa in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError):
-                Problem(op, StabilizedSemilinear(kappa=kappa, g=lambda u: u))
+                Problem(op, StabilizedSemilinear(kappa=kappa, g=lambda u: u,
+                                                 potential=lambda u: 0.0 * u))
