@@ -7,12 +7,13 @@ The package bundles:
   written (:mod:`eerk.phi`),
 * a catalog of EERK Butcher tableaux with parameterized abscissas, one
   table of names and builders (each builder is its method's coefficient
-  formula over ``P``) and descriptions, the evaluation ``A(z)`` that every
-  run-time path uses, and the Butcher-Diff form (:mod:`eerk.tableaux`),
+  formula over ``P``) and descriptions, and the evaluation ``A(z)`` that
+  every run-time path uses (:mod:`eerk.tableaux`),
 * the energy-dissipation machinery: discrete orthogonal convolution
   kernels, and differentiation matrices, leading-principal-minor
   classification and average dissipation rates, all read from the
-  evaluated ``A(z)`` (:mod:`eerk.dissipation`),
+  evaluated ``A(z)``, whose row differences are the difference
+  coefficients (:mod:`eerk.dissipation`),
 * a spectral 1-D Dirichlet Laplacian, diagonalised by the orthonormal
   DST-I, and the Cahn-Hilliard problem setup (:mod:`eerk.spatial`),
 * the generic stage loop with optional stage-energy-law monitoring, for
@@ -34,19 +35,13 @@ from eerk.dissipation import (
 from eerk.integrator import Ensemble, EnsembleReport, RunReport, integrate
 from eerk.phi import phi
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator, StabilizedSemilinear
-from eerk.tableaux import (
-    Tableau,
-    butcher_diff,
-    get_method,
-    parse_method,
-)
+from eerk.tableaux import Tableau, get_method, parse_method
 
 __all__ = [
     "phi",
     "Tableau",
     "get_method",
     "parse_method",
-    "butcher_diff",
     "doc_kernels",
     "differentiation_matrix",
     "leading_principal_minors",

@@ -15,9 +15,9 @@ satisfying ``sum_{l=j..m} theta[m, l] * abar[l+1, j] = delta_{mj}``.  The
 on the lower triangle.  Positive semi-definiteness of the symmetric part
 ``S = (D + D^T)/2`` certifies that the method dissipates the gradient-flow
 energy at every stage, for every step size.  The difference coefficients are
-not evaluated on their own: ``abar`` is the evaluated ``A(z)`` with each row
-less the row before it, so one evaluation of ``A(z)`` serves both the stage
-loop and ``D(z)``.
+not evaluated on their own: one helper forms ``abar`` from the evaluated
+``A(z)``, each row less the row before it, for ``D(z)`` and the DOC kernels
+alike, so one evaluation of ``A(z)`` serves both the stage loop and ``D(z)``.
 
 The scalar ``trace(D)/s`` is the *average dissipation rate* R(z): values
 near 1 mean the discrete energy decays at about the continuous rate, larger
@@ -74,9 +74,15 @@ def _first_zero(diag: np.ndarray, z, label: str) -> None:
         raise SingularDiagonalError(f"{label}: a diagonal coefficient vanishes at z={z0:.6g}")
 
 
-def _theta_from_abar(abar: np.ndarray, z, label: str) -> np.ndarray:
+def _differences(a: np.ndarray) -> np.ndarray:
+    """``abar``: the evaluated ``A(z)`` with each row less the row before it."""
+    abar = a.copy()
+    abar[..., 1:, :] -= a[..., :-1, :]
+    return abar
+
+
+def _theta_from_abar(abar: np.ndarray) -> np.ndarray:
     s = abar.shape[-1]
-    _first_zero(abar[..., range(s), range(s)], z, label)
     theta = np.zeros_like(abar)
     for k in range(s):
         theta[..., k, k] = 1.0 / abar[..., k, k]
@@ -88,13 +94,16 @@ def _theta_from_abar(abar: np.ndarray, z, label: str) -> np.ndarray:
     return theta
 
 
-def doc_kernels(dt: Tableau, z) -> np.ndarray:
-    """DOC kernels of a Butcher-Diff tableau at ``z`` (scalar or array).
+def doc_kernels(t: Tableau, z) -> np.ndarray:
+    """DOC kernels ``theta = abar^{-1}`` of a method at ``z`` (scalar or
+    array), from the same row-differenced ``A(z)`` as ``D(z)``.
 
     Shape ``(s, s)`` for scalar ``z``, ``(n, s, s)`` for an ``(n,)`` array.
     Raises :class:`SingularDiagonalError` when a diagonal entry vanishes.
     """
-    return _theta_from_abar(coefficient_matrix(dt, z), z, dt.label)
+    abar = _differences(coefficient_matrix(t, z))
+    _first_zero(abar[..., range(t.stages), range(t.stages)], z, t.label)
+    return _theta_from_abar(abar)
 
 
 def _diagonal(a_diag: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
@@ -110,11 +119,10 @@ def _diagonal(a_diag: np.ndarray, z: np.ndarray, variant: str, label: str) -> np
 def _from_coefficients(a: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
     """``D(z)``, shape ``(n, s, s)``, from the evaluated ``A(z)``, shape
     ``(n, s, s)``, at the ``(n,)`` points ``z``."""
-    abar = a.copy()
-    abar[..., 1:, :] -= a[..., :-1, :]
+    abar = _differences(a)
     s = a.shape[-1]
     diag = _diagonal(abar[..., range(s), range(s)], z, variant, label)
-    d = _theta_from_abar(abar, z, label) + z[..., None, None] * np.tri(s, k=-1)
+    d = _theta_from_abar(abar) + z[..., None, None] * np.tri(s, k=-1)
     d[..., range(s), range(s)] = diag
     return d
 

@@ -37,7 +37,6 @@ __all__ = [
     "get_method",
     "parse_method",
     "coefficient_matrix",
-    "butcher_diff",
 ]
 
 
@@ -54,8 +53,8 @@ class Tableau:
     coefficient rows: ``rows(P)[i]``, on a basis ``P`` of
     :func:`eerk.phi.basis`, holds ``(a_{i+2,1}, ..., a_{i+2,i+1})`` for
     ``0 <= i < s``; the final row is the weight row.  ``c[0] = 0`` and
-    ``c[s] = 1``.  The formula is not compared, so one spec gives equal
-    tableaux."""
+    ``c[s] = 1``.  The formula is not compared: every library tableau comes
+    from :func:`get_method`, so equal specs mean equal formulas."""
 
     name: str
     params: tuple
@@ -85,17 +84,6 @@ def coefficient_matrix(t, z) -> np.ndarray:
         for j, entry in enumerate(row):
             out[..., i, j] = entry.value
     return out
-
-
-def butcher_diff(t: Tableau) -> Tableau:
-    """Difference coefficients, in the same layout: the diagonal is kept, and
-    below it each entry has the same-column entry of the previous stage row
-    subtracted."""
-    def rows(P):
-        a = t.rows(P)
-        return (a[0],) + tuple(tuple(cur[j] - prev[j] for j in range(i)) + (cur[i],)
-                               for i, (prev, cur) in enumerate(zip(a, a[1:]), start=1))
-    return Tableau(t.name, t.params, t.c, rows)
 
 
 # --------------------------------------------------------------------------

@@ -8,12 +8,15 @@ product take no transform at all.
 phi: the Taylor series of ``phi_k`` summed until every term is at most
 1e-18 of its running sum, a stopping rule checked after each term.
 
-Tableaux and differentiation matrices: ``D(z)`` through a linear solve with
-``A(z)`` instead of the DOC recursion, the average dissipation rate in closed
-form from the diagonal of ``A(z)``, the residual of the DOC identity, the
-row-sum (equilibria) identity through ``expm1``, the stiff order-condition
-residuals, and the large-|z| rate condition of the two-parameter third-order
-family in closed form.
+Tableaux and differentiation matrices: the symbolic Butcher-Diff tableau,
+whose rows are the differences of the method's coefficient formulas, so its
+difference coefficients do not come from the library's row-differenced
+``A(z)``; ``D(z)`` through a linear solve with ``A(z)`` instead of the DOC
+recursion, the average dissipation rate in closed form from the diagonal of
+``A(z)``, the residual of the DOC identity against the Butcher-Diff tableau,
+the row-sum (equilibria) identity through ``expm1``, the stiff
+order-condition residuals, and the large-|z| rate condition of the
+two-parameter third-order family in closed form.
 """
 
 import math
@@ -123,10 +126,23 @@ def average_dissipation_rate_closed_form(t: Tableau, z, variant: str = "standard
     return shift * zarr + np.mean(1.0 / diag, axis=-1)
 
 
-def doc_identity_residual(dt: Tableau, z) -> float:
-    """Max elementwise residual of ``Theta @ Abar = I`` at ``z``."""
-    abar = coefficient_matrix(dt, z)
-    theta = doc_kernels(dt, z)
+def butcher_diff(t: Tableau) -> Tableau:
+    """Difference coefficients, in the same layout: the diagonal is kept, and
+    below it each entry has the same-column entry of the previous stage row
+    subtracted."""
+    def rows(P):
+        a = t.rows(P)
+        return (a[0],) + tuple(tuple(cur[j] - prev[j] for j in range(i)) + (cur[i],)
+                               for i, (prev, cur) in enumerate(zip(a, a[1:]), start=1))
+    return Tableau(t.name, t.params, t.c, rows)
+
+
+def doc_identity_residual(t: Tableau, z) -> float:
+    """Max elementwise residual of ``Theta @ Abar = I`` at ``z``, with the
+    library's DOC kernels ``Theta`` and ``Abar`` from the Butcher-Diff
+    tableau."""
+    abar = coefficient_matrix(butcher_diff(t), z)
+    theta = doc_kernels(t, z)
     eye = np.eye(abar.shape[-1])
     return float(np.max(np.abs(theta @ abar - eye)))
 

@@ -24,7 +24,7 @@ import eerk.dissipation as dissipation
 from eerk.cli import _config, build_parser, main
 from eerk.dissipation import SingularDiagonalError, classify_method, doc_kernels
 from eerk.integrator import integrate
-from eerk.tableaux import butcher_diff, get_method
+from eerk.tableaux import get_method
 
 
 # --------------------------------------------------------------------------
@@ -671,7 +671,7 @@ def test_singular_diagonal_errors_name_method_and_z(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "ho4" in err and "z=" in err, err
     with pytest.raises(SingularDiagonalError) as exc:
-        doc_kernels(butcher_diff(get_method("ho4")), 0.0)
+        doc_kernels(get_method("ho4"), 0.0)
     assert "ho4" in str(exc.value) and "z=" in str(exc.value)
 
 

@@ -19,9 +19,10 @@ from eerk.dissipation import (
     _rate,
     _scan,
 )
-from eerk.tableaux import butcher_diff, get_method, parse_method
+from eerk.tableaux import coefficient_matrix, get_method, parse_method
 from oracles import (
     average_dissipation_rate_closed_form,
+    butcher_diff,
     differentiation_matrix_inverse_route,
     doc_identity_residual,
     eerk32_abscissa_condition,
@@ -52,14 +53,14 @@ CATALOG = [
 
 
 def test_doc_kernels_etd1():
-    th = doc_kernels(butcher_diff(get_method("etd1")), -3.0)
+    th = doc_kernels(get_method("etd1"), -3.0)
     assert th[0, 0] == pytest.approx(1.0 / phi(1, -3.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("z", [-0.5, -7.0])
 def test_doc_kernels_eerk2_closed_form(z):
     c2 = 0.75
-    th = doc_kernels(butcher_diff(get_method("eerk2", c2="3/4")), z)
+    th = doc_kernels(get_method("eerk2", c2="3/4"), z)
     assert th[0, 0] == pytest.approx(1.0 / (c2 * phi(1, c2 * z)), rel=1e-13)
     assert th[1, 1] == pytest.approx(c2 / phi(2, z), rel=1e-13)
     expected = (c2 * phi(1, c2 * z) - phi(1, z) + phi(2, z) / c2) / (phi(2, z) * phi(1, c2 * z))
@@ -68,15 +69,36 @@ def test_doc_kernels_eerk2_closed_form(z):
 
 def test_doc_orthogonality_all_methods():
     for name, params in CATALOG:
-        dt = butcher_diff(get_method(name, **params))
-        resid = doc_identity_residual(dt, Z_SET)
+        resid = doc_identity_residual(get_method(name, **params), Z_SET)
         assert resid <= 1e-10, (name, resid)
 
 
 def test_doc_kernels_reject_zero_diagonal():
     # the five-stage method's fourth diagonal entry vanishes at z = 0
-    with pytest.raises(SingularDiagonalError):
-        doc_kernels(butcher_diff(get_method("ho4")), 0.0)
+    with pytest.raises(SingularDiagonalError, match="^ho4: .* at z=0$"):
+        doc_kernels(get_method("ho4"), 0.0)
+
+
+def test_diagonal_is_scanned_for_zeros_once(monkeypatch):
+    # D(z) and the DOC kernels each check the diagonal of abar once
+    calls = []
+    first_zero = dissipation._first_zero
+
+    def counting(*args):
+        calls.append(args)
+        return first_zero(*args)
+
+    monkeypatch.setattr(dissipation, "_first_zero", counting)
+    grid = default_z_grid()
+    for name, params in CATALOG:
+        t = get_method(name, **params)
+        for variant in VARIANTS:
+            calls.clear()
+            differentiation_matrix(t, grid, variant)
+            assert len(calls) == 1, (name, variant)
+        calls.clear()
+        doc_kernels(t, grid)
+        assert len(calls) == 1, name
 
 
 # --------------------------------------------------------------------------
@@ -129,9 +151,12 @@ def test_two_route_equality_all_methods():
 
 
 def _symbolic_route(t, z, variant):
-    # D from the DOC kernels of the symbolic Butcher-Diff tableau
-    theta = doc_kernels(butcher_diff(t), z)
+    # D from the DOC kernels of the symbolic Butcher-Diff tableau: its abar
+    # owes nothing to the library's row differencing
+    abar = coefficient_matrix(butcher_diff(t), z)
     zz, s = z[:, None, None], t.stages
+    dissipation._first_zero(abar[..., range(s), range(s)], z, t.label)
+    theta = dissipation._theta_from_abar(abar)
     d = theta + zz * np.tri(s)
     return d - (zz / 2.0) * np.eye(s) if variant == "standard" else d
 

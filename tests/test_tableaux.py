@@ -10,12 +10,11 @@ from eerk.dissipation import default_z_grid
 from eerk.phi import phi
 from eerk.tableaux import (
     MethodError,
-    butcher_diff,
     coefficient_matrix,
     get_method,
     parse_method,
 )
-from oracles import verify_order_conditions, verify_row_sums
+from oracles import butcher_diff, verify_order_conditions, verify_row_sums
 
 Z_SET = np.array([-1e-4, -0.1, -1.0, -10.0, -100.0, -1e4])
 
