@@ -12,8 +12,8 @@ evaluated once per eigenvalue and cached for the run, so each stage is one
 contraction of its row with the terms ``[U^1, g(U^1) .. g(U^s)]`` in sine
 coefficients.  The state is carried in sine coefficients from step to step:
 each stage transforms only its physical-space nonlinearity forward and its
-result back, so a step costs ``2s`` sine transforms.  Each is
-``op.forward`` done bit for bit by ``op.transform_odd`` in per-run buffers.
+result back, so a step costs ``2s`` sine transforms.  Each is ``op.forward``
+done bit for bit by ``op.transform_odd`` in rows the loop overwrites next.
 
 ``integrate`` runs one tableau or an :class:`Ensemble` of B tableaux that
 share the problem, the initial state, tau and the stage count.  Every
@@ -127,20 +127,21 @@ class _StepWorkspace:
                 # d_{kl}(z), zero above the diagonal, times the inner-product weight
                 d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
                 self.dmats[b] = np.moveaxis(d, 0, -1) * problem.weight
-        # both transforms of a stage are op.forward done in run buffers: the
-        # stage buffers hold the physical rows and the odd extensions of
-        # their sine coefficients, and the nonlinearity of a stage is written
-        # into the body of one more odd extension per member
+        # the stage rows and the odd extensions of their sine coefficients; spectrum
+        # row j >= 1 holds the transform of N(U^j) and the coefficient view of row 0
+        # U_hat^1, so the terms are one view.  A stage's transforms use no other rows:
+        # stage i+1 writes N(U^{i+1}) into the odd extension its contraction overwrites,
+        # and its inverse transform into spectrum row (i+2) % (s+1), which the next
+        # stage's forward transform (or the next step's U_hat^1) overwrites.  This
+        # rests on one ordering: the contraction of stage i+1 reads only coefficient
+        # row i and term rows 0..i+1, and np.copyto reads the inverse transform's row
+        # before anything writes to it again
         self.u = np.empty((members, rows, m))
         self.u_odd, self.u_hat = op.odd_buffer((members, rows))
-        self.n_odd, self.n_phys = op.odd_buffer((members,))
-        # spectrum row j >= 1 holds the transform of N(U^j), and the
-        # coefficient view of row 0 holds U_hat^1, so the terms are one view
         spectra, self.terms = op.spectrum_buffer((members, s + 1))
-        # stage i+1 reads only the terms already formed
-        self.rows = [(self.coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1])
+        self.rows = [(self.coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1],
+                      spectra[:, (i + 2) % (s + 1)], self.terms[:, (i + 2) % (s + 1)])
                      for i in range(s)]
-        self.back, self.back_coeffs = op.spectrum_buffer((members,))
 
     def advance(self, r: int) -> None:
         """Fill rows ``r+1..r+s`` of the stage buffers ``u`` and ``u_hat``
@@ -148,13 +149,11 @@ class _StepWorkspace:
         row is checked for divergence; the caller does that and guards
         against overflow warnings."""
         u, u_hat, u_odd = self.u, self.u_hat, self.u_odd
-        n_odd, n_phys = self.n_odd, self.n_phys
         nonlinearity, transform = self.problem.nonlinearity, self.problem.op.transform_odd
-        back, back_coeffs = self.back, self.back_coeffs
         self.terms[:, 0] = u_hat[:, r]
-        for i, (row, terms, spectrum) in enumerate(self.rows, start=r):
-            nonlinearity(u[:, i], out=n_phys)
-            transform(n_odd, spectrum)
+        for i, (row, terms, spectrum, back, back_coeffs) in enumerate(self.rows, start=r):
+            nonlinearity(u[:, i], out=u_hat[:, i + 1])
+            transform(u_odd[:, i + 1], spectrum)
             np.einsum("bjm,bjm->bm", row, terms, out=u_hat[:, i + 1])
             transform(u_odd[:, i + 1], back)
             np.copyto(u[:, i + 1], back_coeffs)

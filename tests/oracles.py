@@ -17,6 +17,12 @@ recursion, the average dissipation rate in closed form from the diagonal of
 the row-sum (equilibria) identity through ``expm1``, the stiff
 order-condition residuals, and the large-|z| rate condition of the
 two-parameter third-order family in closed form.
+
+60 digits: an mpmath basis that runs the library's builders unchanged, with
+``phi_k(x) = x^-k (e^x - sum_{j<k} x^j/j!)`` where ``|x| >= 1``, the series
+``sum_n x^n/(n+k)!`` below, and each ``Fraction`` weight taken as
+``mpf(p)/q``; ``D(z)`` from it through the DOC recursion, its rate, and the
+leading principal minors of its symmetric part by ``mp.det``.
 """
 
 import math
@@ -25,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.fft
+from mpmath import mp, mpf
 
 from eerk.dissipation import doc_kernels
 from eerk.phi import phi
@@ -265,3 +272,111 @@ def verify_order_conditions(t: Tableau, target_order: int, z_grid, tol: float = 
         worst = float(np.max(np.abs(r)))
         checks.append(ConditionCheck(name, origin, worst, _classify(origin, worst, tol)))
     return checks
+
+
+# --------------------------------------------------------------------------
+# 60-digit A(z), D(z), minors and rates
+# --------------------------------------------------------------------------
+
+DIGITS = 60
+
+
+class _Mp:
+    """A 60-digit coefficient value: ``+``, ``-``, ``*`` and exact ``int`` or
+    ``Fraction`` weights ``p/q``, taken as ``mpf(p)/q``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __add__(self, other):
+        return _Mp(self.value + other.value)
+
+    def __sub__(self, other):
+        return _Mp(self.value - other.value)
+
+    def __neg__(self):
+        return _Mp(-self.value)
+
+    def __mul__(self, other):
+        if isinstance(other, _Mp):
+            return _Mp(self.value * other.value)
+        if isinstance(other, (int, Fraction)):
+            w = Fraction(other)
+            return _Mp(mpf(w.numerator) / w.denominator * self.value)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+def _phi_mp(k: int, x):
+    """``phi_k(x)`` at the working precision: the exact identity where
+    ``|x| >= 1``, the series below, summed to half an ulp of its sum."""
+    if abs(x) >= 1:
+        return (mp.exp(x) - sum(x**j / mp.factorial(j) for j in range(k))) / x**k
+    term = acc = 1 / mp.factorial(k)
+    n = 0
+    while abs(term) > mp.eps * abs(acc) / 2:
+        n += 1
+        term = term * x / (n + k)
+        acc += term
+    return acc
+
+
+def basis_60(z):
+    """The mpmath twin of ``eerk.phi.basis`` at the point ``z``: ``P(k, c)``
+    is ``phi_k(c z)`` as a 60-digit value (evaluate it under
+    ``mp.workdps(DIGITS)``)."""
+    z = mpf(z)
+    memo = {}
+
+    def P(k: int, c=1) -> _Mp:
+        if (k, c) not in memo:
+            w = Fraction(c)
+            memo[k, c] = _Mp(_phi_mp(k, mpf(w.numerator) / w.denominator * z))
+        return memo[k, c]
+
+    return P
+
+
+def _differentiation_matrix_60(t: Tableau, z, variant: str):
+    # A(z) from the builders, Abar row by row, theta = Abar^-1 by the DOC
+    # recursion, then the z terms of the variant
+    s = t.stages
+    a = mp.zeros(s, s)
+    for i, row in enumerate(t.rows(basis_60(z))):
+        for j, entry in enumerate(row):
+            a[i, j] = entry.value
+    abar = a.copy()
+    for i in range(1, s):
+        for j in range(s):
+            abar[i, j] = a[i, j] - a[i - 1, j]
+    theta = mp.zeros(s, s)
+    for k in range(s):
+        theta[k, k] = 1 / abar[k, k]
+        for j in range(k - 1, -1, -1):
+            theta[k, j] = -sum(theta[k, l] * abar[l, j] for l in range(j + 1, k + 1)) / abar[j, j]
+    z = mpf(z)
+    d = theta.copy()
+    for k in range(s):
+        for j in range(k):
+            d[k, j] += z
+        d[k, k] += z / 2 if variant == "standard" else z
+    return d
+
+
+def leading_minors_60(t: Tableau, z, variant: str = "standard") -> list:
+    """The leading principal minors of ``(D + D^T)/2`` at the float ``z``,
+    to 60 digits."""
+    with mp.workdps(DIGITS):
+        d = _differentiation_matrix_60(t, z, variant)
+        sym = (d + d.T) / 2
+        return [mp.det(sym[:j, :j]) for j in range(1, t.stages + 1)]
+
+
+def average_dissipation_rate_60(t: Tableau, z, variant: str = "standard"):
+    """``trace(D(z))/s`` at the float ``z``, to 60 digits."""
+    with mp.workdps(DIGITS):
+        d = _differentiation_matrix_60(t, z, variant)
+        return sum(d[k, k] for k in range(t.stages)) / t.stages

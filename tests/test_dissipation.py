@@ -21,11 +21,13 @@ from eerk.dissipation import (
 )
 from eerk.tableaux import coefficient_matrix, get_method, parse_method
 from oracles import (
+    average_dissipation_rate_60,
     average_dissipation_rate_closed_form,
     butcher_diff,
     differentiation_matrix_inverse_route,
     doc_identity_residual,
     eerk32_abscissa_condition,
+    leading_minors_60,
 )
 
 Z_SET = np.array([-0.01, -0.1, -1.0, -10.0, -100.0])
@@ -307,6 +309,26 @@ def test_npd_witness_is_a_fresh_scan_of_its_z(name, variant):
     assert below[j] and (w.minor_index, w.minor_value) == (j + 1, minors[j])
 
 
+# the NPD catalog methods and specs just past the family thresholds, some of
+# whose witnesses come from bisection, where the witness minor is small
+WITNESS_SPECS = ["etd3rk", "etd2cf3", "cm4", "krogstad4", "sw4", "ho4", "eerk2:c2=2/5",
+                 "eerk2:c2=499/1000", "eerk2w:c2=2553/10000", "eerk2w:c2=1/5", "eerk2w:c2=1/4",
+                 "eerk31:c2=2/5"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("spec", WITNESS_SPECS)
+def test_npd_witness_has_a_negative_60_digit_minor(spec, variant):
+    # an NPD verdict stands on its witness: the same minor of the same
+    # method at the same z, to 60 digits, is negative too; the float minor
+    # is within 1.3e-7 relative of it here, also where it is 1e-8 small
+    t = parse_method(spec)
+    w = scan_method(t, variant=variant)[3].witness
+    exact = leading_minors_60(t, w.z, variant)[w.minor_index - 1]
+    assert exact < 0
+    assert abs(w.minor_value - exact) <= 2e-7 * abs(exact)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["cm4", "krogstad4", "sw4", "etd2cf3"])
 def test_classify_rejects_non_finite_minors(name):
@@ -423,6 +445,42 @@ def test_rate_is_the_averaged_diagonal_of_d_past_the_property_range():
                     want = _rate(np.diagonal(d, axis1=-2, axis2=-1))
                     assert rate.tobytes() == want.tobytes(), (name, variant)
     assert refused == {"ho4": "ho4: a diagonal coefficient vanishes at z=-1e+17"}
+
+
+# eerk32:c2=7/10,c3=1's implicit rate past 1e305, where 1/a_{k+1,k} and z
+# are both near the float64 limit and their sum cancels.  The exact rate
+# lies below -1.8e308 at 16 points, and at 13 others, the hole, it is
+# representable while an entry 1/a_{k+1,k} overflows
+_HUGE_Z = -np.logspace(305, 308.2, 99)
+_HOLE = (_HUGE_Z >= -4.76e307) & (_HUGE_Z <= -1.93e307)
+
+
+def _huge_rates():
+    t = parse_method("eerk32:c2=7/10,c3=1")
+    exact = np.array([average_dissipation_rate_60(t, z, "implicit") for z in _HUGE_Z])
+    beyond = np.array([e < -np.finfo(float).max for e in exact])
+    return average_dissipation_rate(t, _HUGE_Z, "implicit"), exact, beyond
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_near_the_float64_limit_matches_60_digits_outside_the_hole():
+    rate, exact, beyond = _huge_rates()
+    inside = ~beyond & ~_HOLE
+    assert (inside.sum(), beyond.sum(), _HOLE.sum()) == (70, 16, 13)
+    for r, e in zip(rate[inside], exact[inside]):
+        assert abs(r - e) <= 1e-15 * abs(e)
+    # down to -5.85e308 there: -inf is the correctly rounded value
+    assert all(float(e) == -np.inf for e in exact[beyond])
+    assert np.all(rate[beyond] == -np.inf)
+
+
+@pytest.mark.xfail(strict=True, reason="an infinite 1/a_{k+1,k} makes the rate -inf in the "
+                   "hole; summing the diagonal scaled by 1/|z| (w = -1/z) mends it")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_in_the_hole_matches_60_digits():
+    rate, exact, _ = _huge_rates()
+    for r, e in zip(rate[_HOLE], exact[_HOLE]):
+        assert abs(r - e) <= 1e-15 * abs(e)
 
 
 def test_implicit_rate_offset():

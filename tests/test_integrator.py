@@ -288,8 +288,10 @@ def test_on_block_hands_over_each_step_once():
 
 def _physical_stage_loop(p, tableau, u0, tau, n_steps):
     # the stage loop as first written: every step transforms its start
-    # state, and each stage forms L((1 + kappa) U - U^3) with the stencil
-    op, kappa = p.op, p.kind.kappa
+    # state, and each stage forms the stabilized nonlinearity in physical
+    # space, L((1 + kappa) U - U^3) with the stencil for Cahn-Hilliard and
+    # g(U) + kappa U otherwise
+    op, kind = p.op, p.kind
     tau_mu = tau * p.mu
     a = coefficient_matrix(tableau, -tau_mu)
     coeff = [[a[:, i, j] for j in range(i + 1)] for i in range(tableau.stages)]
@@ -298,7 +300,11 @@ def _physical_stage_loop(p, tableau, u0, tau, n_steps):
         u1_hat = op.forward(u)
         stages, w_hats = [u], []
         for row in coeff:
-            g = apply_stencil(op, (1.0 + kappa) * stages[-1] - stages[-1] ** 3)
+            v = stages[-1]
+            if isinstance(kind, CahnHilliard):
+                g = apply_stencil(op, (1.0 + kind.kappa) * v - v ** 3)
+            else:
+                g = kind.g(v) + kind.kappa * v
             w_hats.append(tau * op.forward(g) - tau_mu * u1_hat)
             acc = u1_hat.copy()
             for a, w in zip(row, w_hats):
@@ -308,9 +314,17 @@ def _physical_stage_loop(p, tableau, u0, tau, n_steps):
     return u
 
 
-@pytest.mark.parametrize("name,c2,tau", [("eerk2w", "3/11", 0.00125), ("eerk31", "4/9", 0.1)])
-def test_spectral_state_loop_matches_physical_stage_loop(name, c2, tau):
-    p = cahn_hilliard(m=639)
+# a nonlinearity that is not odd, g(-u) != -g(u), with g = -G'
+NOT_ODD = {"g": lambda u: 1 - u**2 - u**3, "potential": lambda u: -(u - u**3 / 3 - u**4 / 4)}
+
+
+@pytest.mark.parametrize("name,c2,tau,kind", [
+    ("eerk2w", "3/11", 0.00125, "cahn-hilliard"), ("eerk31", "4/9", 0.1, "cahn-hilliard"),
+    ("eerk2w", "3/11", 0.01, "semilinear"), ("eerk31", "4/9", 0.1, "semilinear"),
+], ids=["eerk2w-3/11-0.00125", "eerk31-4/9-0.1", "eerk2w-3/11-0.01-semilinear",
+        "eerk31-4/9-0.1-semilinear"])
+def test_spectral_state_loop_matches_physical_stage_loop(name, c2, tau, kind):
+    p = cahn_hilliard(m=639) if kind == "cahn-hilliard" else semilinear(m=127, kappa=2.0, **NOT_ODD)
     u0 = 0.5 * np.sin(p.op.x)
     t = get_method(name, c2=c2)
     rep = integrate(p, t, u0, tau, 20 * tau)
