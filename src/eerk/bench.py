@@ -165,9 +165,17 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("no method specified")
         try:
-            return [parse_method(spec) for spec in self.methods]
+            tableaux = [parse_method(spec) for spec in self.methods]
         except MethodError as exc:
             raise ConfigError(str(exc)) from exc
+        # a method's printed line and CSV files go under its label
+        specs = {}
+        for spec, t in zip(self.methods, tableaux):
+            if t.label in specs:
+                raise ConfigError(f"method {t.label} is given twice "
+                                  f"(as {specs[t.label]!r} and {spec!r})")
+            specs[t.label] = spec
+        return tableaux
 
     def problem(self) -> Problem:
         # whether eps and kappa are admissible depends on the spectrum
@@ -276,9 +284,11 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     ``out``, ``monitor``, ``ref_method``, ``ref_tau``, ``implicit``.  Every
     value is a string, as in the UTF-8 file; ``monitor`` and ``implicit``
     take 1/0, true/false, on/off or yes/no.  Precedence: ``defaults`` <
-    file entries < ``overrides`` (a ``None`` override is skipped).
+    file entries < ``overrides`` (a ``None`` override is skipped); the
+    later of two entries for one field wins, whichever key spells it
+    (``m`` or ``h``).
     """
-    raw = dict(defaults or {})
+    entries = list((defaults or {}).items())
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -291,16 +301,17 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
             key, eq, value = stripped.partition("=")
             if not eq:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            raw[key.strip()] = value.strip()
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            raw[key] = value
+            entries.append((key.strip(), value.strip()))
+    entries += [(key, value) for key, value in (overrides or {}).items() if value is not None]
 
-    cfg = ExperimentConfig()
-    for key, value in raw.items():
+    raw = {}  # field -> (key, value)
+    for key, value in entries:
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, parse, _ = _KEYS[key]
+        raw[_KEYS[key][0]] = (key, value)
+    cfg = ExperimentConfig()
+    for name, (key, value) in raw.items():
+        parse = _KEYS[key][1]
         try:
             setattr(cfg, name, parse(value))
         except ConfigError:

@@ -393,6 +393,19 @@ def test_cli_energy_defaults_lie_below_the_config_file(tmp_path):
     assert (cfg.taus, cfg.t_final, cfg.ic) == ([0.2], 0.4, "bumps")
 
 
+@pytest.mark.parametrize("lines,in_file,flag", [
+    ("m = 31\nh = 0.5\n", 12, ["--m", "15"]),
+    ("h = 0.5\nm = 31\n", 31, ["--h", "0.3927"]),
+], ids=["m-then-h", "h-then-m"])
+def test_cli_mesh_flag_overrides_either_spelling_in_the_file(lines, in_file, flag, tmp_path):
+    # m and h set one field: the later entry wins, whichever key spells it
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(lines)
+    parse = build_parser().parse_args
+    assert _config(parse(["energy", "--config", str(cfgfile)])).m == in_file
+    assert _config(parse(["energy", "--config", str(cfgfile), *flag])).m == 15
+
+
 def test_cli_switch_given_off_overrides_the_config_file(capsys, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("method = etd1\nm = 7\ntau = 0.1\nT = 0.2\nmonitor = on\n")
@@ -497,6 +510,9 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     ["converge", "--method", "etd1", "--ref-method", "foo"],
     ["energy", "--method", "etd1", "--T", "nan"],
     ["energy", "--method", "etd1", "--T", "-1"],
+    # 4 reference steps over 3 coarse ones
+    ["converge", "--method", "eerk2w:c2=1", "--tau", "0.02", "--ref-tau", "0.015", "--T", "0.06",
+     "--m", "31"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -595,6 +611,23 @@ def test_repeated_method_parameter_is_a_config_error(source, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["energy", "converge", "analyze", "rate"])
+@pytest.mark.parametrize("specs,label", [
+    (["etd1", "etd1"], "etd1"),
+    (["eerk2w:c2=1", "eerk2w:c2=1/1"], "eerk2w:c2=1"),
+], ids=["same-spec", "same-label"])
+def test_cli_method_given_twice_is_a_config_error(specs, label, command, capsys, tmp_path):
+    # a method's printed line and CSV files go under its label, so a second
+    # run under one label would hide the first
+    extra = ["--m", "15", "--T", "0.1"] if command in ("energy", "converge") else []
+    out = tmp_path / "out"
+    methods = [arg for spec in specs for arg in ("--method", spec)]
+    assert main([command, *methods, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: method {label} is given twice (as {specs[0]!r} and {specs[1]!r})\n")
+    assert not out.exists()
+
+
 def test_cli_unwritable_csv_is_a_config_error(capsys, tmp_path):
     (tmp_path / "etd1_energy.csv").mkdir()
     code = main(["energy", "--method", "etd1", "--m", "7", "--tau", "0.1", "--T", "0.2",
@@ -655,12 +688,15 @@ def test_cli_converge_zero_horizon_is_a_config_error(capsys, tmp_path):
     # implicit diagonal entries are finite but their sum is not
     ("eerk32:c2=7/10,c3=1", "lin:-1.75e307:-1e307:3"),
 ], ids=["minors", "below-diagonal"])
-def test_cli_rate_reads_only_the_diagonal(method, grid, tmp_path):
+def test_cli_rate_reads_only_the_diagonal(method, grid, capsys, tmp_path):
     # the rate is read off the diagonal of D, which stays finite
     assert main(["rate", "--method", method, "--grid", grid, "--implicit", "--out", str(tmp_path)]) == 0
     (csv,) = tmp_path.iterdir()
-    rates = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1:]
-    assert rates.shape == (3, 2) and np.all(np.isfinite(rates))
+    z, rate, rate_implicit = np.loadtxt(csv, delimiter=",", skiprows=1).T
+    assert z.shape == (3,) and np.all(np.isfinite([rate, rate_implicit]))
+    # the printed rates are the curve's ends, on the grid it carries
+    assert capsys.readouterr().out == (
+        f"{method:28s} R({z[-1]:.3g}) = {rate[-1]:.6g}   R({z[0]:.3g}) = {rate[0]:.6g}\n")
 
 
 def test_singular_diagonal_errors_name_method_and_z(capsys, tmp_path):
@@ -699,6 +735,14 @@ def test_cli_energy_divergence_exit_code(capsys, tmp_path):
     assert "DIVERGED" in capsys.readouterr().out
     # the series up to the failure is still on disk
     assert (tmp_path / "eerk2-c2-1_energy.csv").exists()
+    # an ensemble whose first member diverges at step 5 while the other runs
+    # to the end exits with the divergence code
+    code = main(["energy", "--method", "eerk2w:c2=1/10", "--method", "eerk2w:c2=1",
+                 "--kappa", "0.1", "--m", "63", "--tau", "1", "--T", "40", "--monitor"])
+    assert code == 3
+    diverged, ran = capsys.readouterr().out.splitlines()
+    assert diverged == f"{'eerk2w:c2=1/10':28s} DIVERGED at step 5 (t = 5)"
+    assert ran.startswith(f"{'eerk2w:c2=1':28s} E(0) = ") and " E(40) = " in ran and "stage law" in ran
 
 
 @pytest.mark.parametrize("argv", [
@@ -718,13 +762,40 @@ def test_cli_unusable_out_exits_before_computing(argv, capsys, tmp_path, monkeyp
         assert capsys.readouterr().err.startswith("error: ")
 
 
+CATALOG_SPECS = ["etd1", "eerk2:c2=1/2", "eerk2w:c2=3/11", "eerk2s:c2=3/4", "eerk31:c2=4/9",
+                 "eerk32:c2=1,c3=1/2", "etd3rk", "etd2cf3", "cm4", "krogstad4", "sw4", "ho4"]
+_CATALOG_ARGS = [arg for spec in CATALOG_SPECS for arg in ("--method", spec)]
+DECAY = Path(__file__).resolve().parent.parent / "configs" / "energy-decay.cfg"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,n_files", [
+    # 60 reference steps over 20 and over 30 coarse ones: strides 3 and 2
+    (["converge", "--method", "eerk2w:c2=1", "--tau", "0.03,0.02", "--ref-tau", "0.01",
+      "--T", "0.6", "--m", "31"], 1),
+    (["analyze", *_CATALOG_ARGS], 13),
+    (["analyze", *_CATALOG_ARGS, "--implicit"], 13),
+    (["rate", *_CATALOG_ARGS, "--implicit"], 12),
+    (["energy", "--config", str(DECAY), "--T", "1", "--monitor"], 3),
+], ids=["converge-strides", "analyze-catalog", "analyze-catalog-implicit", "rate-catalog-implicit",
+        "energy-monitored"])
+def test_cli_runs_are_repeatable(argv, n_files, capsys, tmp_path):
+    # identical argvs write bit-identical CSVs and print the same lines
+    runs = []
+    for name in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        files = {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == n_files
+
+
 def test_stage_law_verdicts(capsys, tmp_path):
     # the T=160 decay run ends with margins of -2.8e-16, once the energy has
     # stopped changing: below zero, but within a few ulps of the energies
-    decay = Path(__file__).resolve().parent.parent / "configs" / "energy-decay.cfg"
-    assert main(["energy", "--config", str(decay), "--out", str(tmp_path)]) == 0
+    assert main(["energy", "--config", str(DECAY), "--out", str(tmp_path)]) == 0
     assert "stage law held within rounding" in capsys.readouterr().out
-    cfg = load_config(decay, {"T": "10"})
+    cfg = load_config(DECAY, {"T": "10"})
     rep = run_energy(cfg)["eerk31:c2=4/9"]
     assert rep.energy_law == "held" and rep.margins.min() >= 0
     # a method that is not PSD, at a step far beyond its sampled grid

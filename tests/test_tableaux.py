@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from eerk.dissipation import default_z_grid
 from eerk.phi import phi
@@ -14,7 +15,7 @@ from eerk.tableaux import (
     get_method,
     parse_method,
 )
-from oracles import butcher_diff, verify_order_conditions, verify_row_sums
+from oracles import DIGITS, basis_60, butcher_diff, verify_order_conditions, verify_row_sums
 
 Z_SET = np.array([-1e-4, -0.1, -1.0, -10.0, -100.0, -1e4])
 
@@ -128,6 +129,42 @@ def test_coefficient_matrix_batched_matches_scalar():
     batch = coefficient_matrix(t, Z_SET)
     for idx, z in enumerate(Z_SET):
         assert np.array_equal(batch[idx], coefficient_matrix(t, float(z)))
+
+
+# the worst relative error of each catalog method's A(z) over its nonzero
+# entries on z = -logspace(-8, 8, 97), against 60 digits, measured and
+# rounded up: an upper bound that a less accurate evaluation breaks
+A_ERROR_BOUNDS = {
+    "etd1": 2.2e-16,
+    "eerk2:c2=1/2": 5e-8,
+    "eerk2w:c2=3/11": 3.3e-16,
+    "eerk2s:c2=3/4": 7e-9,
+    "eerk31:c2=4/9": 5e-14,
+    "eerk32:c2=1,c3=1/2": 1.4e-14,
+    "etd3rk": 2.1e-8,
+    "etd2cf3": 1e-7,
+    "cm4": 2.1e-8,
+    "krogstad4": 5.3e-8,
+    "sw4": 5e-8,
+    "ho4": 5.3e-8,
+}
+
+
+@pytest.mark.parametrize("spec,bound", A_ERROR_BOUNDS.items(), ids=list(A_ERROR_BOUNDS))
+def test_coefficient_matrix_matches_60_digits(spec, bound):
+    t = parse_method(spec)
+    z = -np.logspace(-8, 8, 97)
+    a = coefficient_matrix(t, z)
+    worst = 0.0
+    with mp.workdps(DIGITS):
+        for zn, an in zip(z, a):
+            for i, row in enumerate(t.rows(basis_60(zn))):
+                for j, entry in enumerate(row):
+                    if entry.value:
+                        worst = max(worst, float(abs(an[i, j] / entry.value - 1)))
+                    else:
+                        assert an[i, j] == 0, (zn, i, j)
+    assert worst <= bound
 
 
 # --------------------------------------------------------------------------
