@@ -84,19 +84,24 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def _make_out_dir(cfg) -> None:
-    """Create the configured output directory, so that an unusable one
-    ends a run before its first step rather than after its last."""
+def _output(cfg):
+    """The writer of a run's CSV files: ``write(name, header, *columns)``
+    stacks vectors and 2-D blocks into ``<out>/<name>.csv``, the name made
+    file-safe, or does nothing without an output directory.  Called once a
+    run is admitted, so that a refused run makes no directory and an
+    unusable one ends a run before its first step."""
     if cfg.out is None:
-        return
+        return lambda name, header, *columns: None
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out}: {exc}") from exc
 
+    def write(name, header, *columns):
+        path = cfg.out / (name.translate(str.maketrans(":=,/", "----")) + ".csv")
+        write_csv(path, header, np.column_stack(columns).tolist())
 
-def _slug(label: str) -> str:
-    return label.translate(str.maketrans(":=,/", "----"))
+    return write
 
 
 def initial_profile(name: str, x: np.ndarray) -> np.ndarray:
@@ -110,8 +115,10 @@ def initial_profile(name: str, x: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown initial profile {name!r} (known: sine, bumps)")
 
 
-# largest mesh and largest z-grid chunk: 8 MB per vector
+# largest mesh and largest z grid: 8 MB per vector; largest reference
+# store of a convergence table: 1 GiB
 _MAX_POINTS = 2**20
+_MAX_STORE = 2**27
 _LENGTH = 2.0 * np.pi  # the interval is (0, 2*pi)
 
 
@@ -120,7 +127,7 @@ def parse_z_grid(spec: str) -> np.ndarray:
     |z|), and ``+``-joined unions thereof."""
     if spec == "default":
         return default_z_grid()
-    parts = []
+    chunks, total = [], 0
     for chunk in spec.split("+"):
         try:
             kind, a, b, n = chunk.split(":")
@@ -129,14 +136,17 @@ def parse_z_grid(spec: str) -> np.ndarray:
             raise ConfigError(f"malformed grid spec {chunk!r}") from exc
         if not (math.isfinite(a) and math.isfinite(b) and 1 <= n <= _MAX_POINTS):
             raise ConfigError(f"grid spec {chunk!r} needs finite bounds and 1 to {_MAX_POINTS} points")
-        if kind == "lin":
-            parts.append(np.linspace(a, b, n))
-        elif kind == "log":
-            if a <= 0 or b <= 0:
-                raise ConfigError("log grid bounds are magnitudes |z| > 0")
-            parts.append(-np.logspace(math.log10(a), math.log10(b), n))
-        else:
+        if kind not in ("lin", "log"):
             raise ConfigError(f"unknown grid kind {kind!r}")
+        if kind == "log" and (a <= 0 or b <= 0):
+            raise ConfigError("log grid bounds are magnitudes |z| > 0")
+        total += n
+        if total > _MAX_POINTS:
+            raise ConfigError(f"grid spec {spec!r} has more than {_MAX_POINTS} points in all")
+        chunks.append((kind, a, b, n))
+    # every chunk is admitted before the first is built
+    parts = [np.linspace(a, b, n) if kind == "lin" else -np.logspace(math.log10(a), math.log10(b), n)
+             for kind, a, b, n in chunks]
     grid = np.unique(np.concatenate(parts))
     if np.any(grid > 0):
         raise ConfigError("z grid must satisfy z <= 0")
@@ -383,7 +393,6 @@ def run_convergence(cfg: ExperimentConfig):
     ref_steps = _admit(_step_count, cfg.t_final, ref_tau)
     for tau in (ref_tau, *cfg.taus):
         _admit(_check_stiffness, problem, tau)
-    _make_out_dir(cfg)
 
     strides = []
     for i, tau in enumerate(cfg.taus):
@@ -396,7 +405,12 @@ def run_convergence(cfg: ExperimentConfig):
 
     # row i holds the reference state after step (i+1)*g
     g = math.gcd(*strides)
-    reference = np.empty((ref_steps // g, problem.op.m))
+    states = ref_steps // g
+    if states * problem.op.m > _MAX_STORE:
+        raise ConfigError(f"the reference run would keep {states} states of m={problem.op.m} "
+                          f"points, more than {_MAX_STORE} values")
+    write = _output(cfg)
+    reference = np.empty((states, problem.op.m))
 
     def keep(n0, stages):
         j = g - 1 - n0 % g  # the first step of the block that is a multiple of g
@@ -439,10 +453,8 @@ def run_convergence(cfg: ExperimentConfig):
                 order = math.log2(prev.error / error) / math.log2(prev.tau / tau)
             rows.append(ConvergenceRow(tau, error, order))
         results[t.label] = rows
-        if cfg.out is not None:
-            write_csv(cfg.out / f"{_slug(t.label)}_convergence.csv",
-                      ["tau", "error", "order"],
-                      [(r.tau, r.error, r.order) for r in rows])
+        write(f"{t.label}_convergence", ["tau", "error", "order"],
+              np.array([(r.tau, r.error, r.order) for r in rows], dtype=object))
     return results
 
 
@@ -455,21 +467,16 @@ def run_energy(cfg: ExperimentConfig):
     u0 = cfg.initial_state(problem)
     tau = cfg.taus[0]
     _admit(_check_stiffness, problem, tau)
-    _make_out_dir(cfg)
+    write = _output(cfg)
     reports = {}
     runs = _integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, cfg.monitor)
     for t, report in zip(tableaux, runs):
         reports[t.label] = report
-        if cfg.out is not None:
-            slug = _slug(t.label)
-            write_csv(cfg.out / f"{slug}_energy.csv", ["t", "energy"],
-                      np.column_stack([report.times, report.energies]).tolist())
-            write_csv(cfg.out / f"{slug}_final.csv", ["x", "u"],
-                      np.column_stack([problem.op.x, report.final_state]).tolist())
-            if report.margins is not None:
-                header = ["t"] + [f"margin_{j}" for j in range(1, t.stages + 1)]
-                write_csv(cfg.out / f"{slug}_margins.csv", header,
-                          np.column_stack([report.times[1:], report.margins]).tolist())
+        write(f"{t.label}_energy", ["t", "energy"], report.times, report.energies)
+        write(f"{t.label}_final", ["x", "u"], problem.op.x, report.final_state)
+        if report.margins is not None:
+            write(f"{t.label}_margins", ["t"] + [f"margin_{j}" for j in range(1, t.stages + 1)],
+                  report.times[1:], report.margins)
     return reports
 
 
@@ -479,24 +486,20 @@ def run_analysis(cfg: ExperimentConfig):
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
     variant = "implicit" if cfg.implicit else "standard"
-    _make_out_dir(cfg)
+    write = _output(cfg)
     results = {}
     summary_rows = []
     for t in tableaux:
         z, rate, minors, verdict = scan_method(t, z_grid=grid, variant=variant)
-        if cfg.out is not None:
-            header = ["z", "rate"] + [f"minor_{j}" for j in range(1, t.stages + 1)]
-            write_csv(cfg.out / f"{_slug(t.label)}_minors.csv", header,
-                      np.column_stack([z, rate, minors]).tolist())
+        write(f"{t.label}_minors", ["z", "rate"] + [f"minor_{j}" for j in range(1, t.stages + 1)],
+              z, rate, minors)
         results[t.label] = verdict
         w = verdict.witness
         summary_rows.append((t.label, verdict.verdict,
                              w.z if w else "", w.minor_index if w else "",
                              w.minor_value if w else ""))
-    if cfg.out is not None:
-        write_csv(cfg.out / "classification.csv",
-                  ["method", "verdict", "witness_z", "witness_minor", "witness_value"],
-                  summary_rows)
+    write("classification", ["method", "verdict", "witness_z", "witness_minor", "witness_value"],
+          np.array(summary_rows, dtype=object))
     return results
 
 
@@ -505,14 +508,12 @@ def run_rate(cfg: ExperimentConfig):
     the grid ``z``, ``rate`` and, with ``implicit``, ``rate_implicit``."""
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
-    _make_out_dir(cfg)
+    write = _output(cfg)
     curves = {}
     for t in tableaux:
         data = {"z": grid, "rate": average_dissipation_rate(t, grid)}
         if cfg.implicit:
             data["rate_implicit"] = average_dissipation_rate(t, grid, "implicit")
         curves[t.label] = data
-        if cfg.out is not None:
-            write_csv(cfg.out / f"{_slug(t.label)}_rate.csv", list(data),
-                      np.column_stack(list(data.values())).tolist())
+        write(f"{t.label}_rate", list(data), *data.values())
     return curves

@@ -117,6 +117,10 @@ def test_parse_z_grid():
         parse_z_grid("lin:-5:5:11")
     with pytest.raises(ConfigError):
         parse_z_grid("log:-1:10:5")
+    # the point cap holds for the union, not only for each chunk
+    assert parse_z_grid("lin:-2:-1:524288+lin:-4:-3:524288").size == 2**20
+    with pytest.raises(ConfigError, match="more than 1048576 points in all"):
+        parse_z_grid("lin:-2:-1:524288+lin:-4:-3:524289")
 
 
 def test_initial_profiles():
@@ -477,6 +481,15 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     assert not (tmp_path / "etd1_margins.csv").exists()
 
 
+# D(z) leaves the float64 range on these grids; a run finds that only while
+# scanning them, after it made its output directory
+_SCANNED = [
+    ["analyze", "--method", "ho4", "--grid", "log:1e20:1e30:3"],
+    ["rate", "--method", "ho4", "--grid", "lin:-1e160:-1e150:3"],
+    ["analyze", "--method", "cm4", "--grid", "lin:-1e160:-1e150:3"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["energy", "--method", "etd1", "--tau", "0.03", "--T", "1"],
     ["energy", "--method", "etd1", "--tau", "-0.1"],
@@ -502,10 +515,7 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     ["converge", "--method", "etd1", "--ref-tau", "-1"],
     ["converge", "--method", "etd1", "--ref-tau", "inf"],
     ["converge", "--method", "etd1", "--tau", "0.01,0.01", "--T", "0.02"],
-    # D(z) leaves the float64 range on these grids
-    ["analyze", "--method", "ho4", "--grid", "log:1e20:1e30:3"],
-    ["rate", "--method", "ho4", "--grid", "lin:-1e160:-1e150:3"],
-    ["analyze", "--method", "cm4", "--grid", "lin:-1e160:-1e150:3"],
+    *_SCANNED,
     ["analyze", "--method", "etd1", "--grid", "lin:-1:0:2:5"],
     ["converge", "--method", "etd1", "--ref-method", "foo"],
     ["energy", "--method", "etd1", "--T", "nan"],
@@ -513,19 +523,26 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     # 4 reference steps over 3 coarse ones
     ["converge", "--method", "eerk2w:c2=1", "--tau", "0.02", "--ref-tau", "0.015", "--T", "0.06",
      "--m", "31"],
+    # each chunk is within the point cap, their union is not
+    ["analyze", "--method", "etd1", "--grid", "lin:-2:-1:1048576+lin:-4:-3:1048576"],
 ])
 def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not any(tmp_path.iterdir())
+    if argv in _SCANNED:
+        assert not (out.exists() and any(out.iterdir()))
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("h", ["0", "nan", "inf", "-1", "1e-300"])
 def test_cli_bad_spacing_is_named(h, capsys, tmp_path):
-    assert main(["energy", "--method", "etd1", "--h", h, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["energy", "--method", "etd1", "--h", h, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: mesh spacing h=") and f"h={float(h)} " in err, err
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,named", [
@@ -674,9 +691,41 @@ def test_cli_converge_divergence_exit_code(capsys):
 
 def test_cli_converge_zero_horizon_is_a_config_error(capsys, tmp_path):
     # a zero horizon has no error to tabulate, whatever the step sizes
-    code = main(["converge", "--method", "etd1", "--T", "0", "--m", "31", "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = main(["converge", "--method", "etd1", "--T", "0", "--m", "31", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == "error: a convergence table needs a positive final time, got 0.0\n"
+    assert not out.exists()
+
+
+def test_cli_converge_reference_store_is_bounded(monkeypatch, capsys, tmp_path):
+    # 100 and 99 coarse steps align at every 100th of 9900 reference steps,
+    # so the reference run would keep 9900 states of 2**20 points: 77 GiB
+    def no_run(*args, **kwargs):
+        raise AssertionError("a refused table runs no step")
+
+    monkeypatch.setattr("eerk.bench.integrate", no_run)
+    out = tmp_path / "out"
+    code = main(["converge", "--method", "etd1", "--m", "1048576", "--T", "1",
+                 "--tau", "0.01,0.010101010101010102", "--ref-tau", "0.00010101010101010101",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the reference run would keep 9900 states of m=1048576 points, "
+        "more than 134217728 values\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--method", "eerk2w:c2=1/2", "--m", "15", "--tau", "0.05,0.025", "--T", "0.1"],
+    ["energy", "--method", "eerk31:c2=4/9", "--m", "15", "--tau", "0.1", "--T", "0.2", "--monitor"],
+    ["analyze", "--method", "etd1", "--method", "ho4", "--grid", "lin:-10:-0.1:20"],
+    ["rate", "--method", "cm4", "--grid", "lin:-10:-0.1:20", "--implicit"],
+], ids=["converge", "energy", "analyze", "rate"])
+def test_cli_without_out_writes_nothing(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
     assert not any(tmp_path.iterdir())
 
 

@@ -1,7 +1,7 @@
 """eerk needs numpy alone at run time.
 
 Each check runs in a fresh interpreter, so that modules the test suite
-imports (scipy, as the transform oracle) do not hide what eerk imports.
+imports (scipy, mpmath and sympy, as oracles) do not hide what eerk imports.
 """
 
 import json
@@ -12,14 +12,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# blocks scipy and records every attempt to import it, also one that a
-# try/except would swallow; then runs the CLI through main()
-NO_SCIPY = """
+# blocks the test oracles and records every attempt to import one, also one
+# that a try/except would swallow; then runs the CLI through main()
+NO_ORACLES = """
 import json, sys
+ORACLES = {"scipy", "mpmath", "sympy"}
 attempts = []
 sys.addaudithook(lambda event, args: event == "import"
-                 and args[0].split(".")[0] == "scipy" and attempts.append(args[0]))
-sys.modules["scipy"] = None
+                 and args[0].split(".")[0] in ORACLES and attempts.append(args[0]))
+sys.modules.update(dict.fromkeys(ORACLES))
 import eerk, eerk.cli
 out = sys.argv[1]
 codes = [eerk.cli.main(argv + ["--out", out]) for argv in [
@@ -28,7 +29,7 @@ codes = [eerk.cli.main(argv + ["--out", out]) for argv in [
     ["converge", "--method", "eerk2w:c2=1/2", "--m", "31", "--tau", "0.05,0.025", "--T", "0.1",
      "--ref-method", "eerk2w:c2=3/11", "--ref-tau", "0.0125"],
 ]]
-loaded = [k for k, v in sys.modules.items() if k.split(".")[0] == "scipy" and v is not None]
+loaded = [k for k, v in sys.modules.items() if k.split(".")[0] in ORACLES and v is not None]
 print(json.dumps({"codes": codes, "attempts": attempts, "loaded": loaded}))
 """
 
@@ -41,7 +42,7 @@ def _run(script, *args):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    result = json.loads(_run(NO_SCIPY, str(tmp_path)))
+    result = json.loads(_run(NO_ORACLES, str(tmp_path)))
     assert result == {"codes": [0, 0, 0], "attempts": [], "loaded": []}
     assert (tmp_path / "eerk31-c2-4-9_margins.csv").is_file()
     assert (tmp_path / "eerk2w-c2-1-2_convergence.csv").is_file()
