@@ -296,7 +296,8 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
     take 1/0, true/false, on/off or yes/no.  Precedence: ``defaults`` <
     file entries < ``overrides`` (a ``None`` override is skipped); the
     later of two entries for one field wins, whichever key spells it
-    (``m`` or ``h``).
+    (``m`` or ``h``).  Each value is checked on its own; whether a step
+    size divides the horizon is left to the drivers that step with it.
     """
     entries = list((defaults or {}).items())
     if path is not None:
@@ -337,8 +338,6 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
         raise ConfigError(f"reference step size must be finite and positive, got {cfg.ref_tau}")
     if not (math.isfinite(cfg.t_final) and cfg.t_final >= 0):
         raise ConfigError(f"final time must be finite and nonnegative, got {cfg.t_final}")
-    for tau in cfg.taus:
-        _admit(_step_count, cfg.t_final, tau)
     return cfg
 
 
@@ -466,7 +465,11 @@ def run_energy(cfg: ExperimentConfig):
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     tau = cfg.taus[0]
+    _admit(_step_count, cfg.t_final, tau)
     _admit(_check_stiffness, problem, tau)
+    if cfg.monitor:  # the monitor's D(z) at the run's points refuses a vanishing a_{k+1,k}
+        for t in tableaux:
+            average_dissipation_rate(t, -tau * problem.mu)
     write = _output(cfg)
     reports = {}
     runs = _integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, cfg.monitor)
@@ -482,15 +485,15 @@ def run_energy(cfg: ExperimentConfig):
 
 def run_analysis(cfg: ExperimentConfig):
     """Classify each method on the z grid from one scan, which with an
-    output directory also gives its minor curves."""
+    output directory also gives its minor curves, written after every scan."""
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
     variant = "implicit" if cfg.implicit else "standard"
+    scans = [scan_method(t, z_grid=grid, variant=variant) for t in tableaux]
     write = _output(cfg)
     results = {}
     summary_rows = []
-    for t in tableaux:
-        z, rate, minors, verdict = scan_method(t, z_grid=grid, variant=variant)
+    for t, (z, rate, minors, verdict) in zip(tableaux, scans):
         write(f"{t.label}_minors", ["z", "rate"] + [f"minor_{j}" for j in range(1, t.stages + 1)],
               z, rate, minors)
         results[t.label] = verdict
@@ -505,15 +508,17 @@ def run_analysis(cfg: ExperimentConfig):
 
 def run_rate(cfg: ExperimentConfig):
     """Average dissipation rate curves per method, each the CSV's columns:
-    the grid ``z``, ``rate`` and, with ``implicit``, ``rate_implicit``."""
+    the grid ``z``, ``rate`` and, with ``implicit``, ``rate_implicit``,
+    written once every curve is computed."""
     tableaux = cfg.tableaux()
     grid = cfg.z_grid()
-    write = _output(cfg)
     curves = {}
     for t in tableaux:
         data = {"z": grid, "rate": average_dissipation_rate(t, grid)}
         if cfg.implicit:
             data["rate_implicit"] = average_dissipation_rate(t, grid, "implicit")
         curves[t.label] = data
-        write(f"{t.label}_rate", list(data), *data.values())
+    write = _output(cfg)
+    for label, data in curves.items():
+        write(f"{label}_rate", list(data), *data.values())
     return curves

@@ -15,7 +15,9 @@ spelled ``--key`` with ``_`` written ``-``; flags override the config file,
 which overrides the subcommand's defaults.  All outputs are CSV.  Exit
 codes: 0 success, 2 configuration error (also a z grid on which a diagonal
 coefficient of D(z) vanishes or, for analyze, a minor leaves the float64
-range), 3 divergence.
+range, and a monitored energy run at whose points ``-tau*mu`` a diagonal
+coefficient vanishes), 3 divergence.  A run that exits 2 makes no output
+directory.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from eerk.bench import (
     run_rate,
 )
 from eerk.dissipation import SingularDiagonalError
-from eerk.tableaux import MethodError, catalog
+from eerk.tableaux import catalog
 
 _EXIT_CONFIG = 2
 _EXIT_DIVERGENCE = 3
@@ -146,7 +148,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (ConfigError, MethodError, SingularDiagonalError) as exc:
+    except (ConfigError, SingularDiagonalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except BenchDivergence as exc:

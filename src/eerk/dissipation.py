@@ -106,14 +106,17 @@ def doc_kernels(t: Tableau, z) -> np.ndarray:
     return _theta_from_abar(abar)
 
 
-def _diagonal(a_diag: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
-    """The diagonal of ``D(z)``, ``1/a_{k+1,k} + z`` less ``z/2`` if standard,
-    from that of ``A(z)``: the one place it is formed and the variant read."""
+def _diagonal(a_diag: np.ndarray, z: np.ndarray, variant: str, label: str, q=1.0) -> np.ndarray:
+    """The diagonal of ``D(z)`` over ``q``, powers of two of shape ``z.shape``:
+    ``1/(a_{k+1,k} q) + z/q``, less ``z/(2q)`` if standard, from that of
+    ``A(z)``; the one place it is formed and the variant's terms read."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     _first_zero(a_diag, z, label)
-    diag = 1.0 / a_diag + z[..., None]
-    return diag - z[..., None] / 2.0 if variant == "standard" else diag
+    q = np.asarray(q)[..., None]
+    zq = z[..., None] / q
+    diag = 1.0 / (a_diag * q) + zq
+    return diag - zq / 2.0 if variant == "standard" else diag
 
 
 def _from_coefficients(a: np.ndarray, z: np.ndarray, variant: str, label: str) -> np.ndarray:
@@ -151,27 +154,24 @@ def leading_principal_minors(d: np.ndarray) -> np.ndarray:
     return minors
 
 
-def _rate(diag: np.ndarray):
-    """``trace(D)/s`` from the diagonal of ``D``, shape ``(..., s)``.
-
-    The entries are divided by ``p``, the least power of two ``>= s``, before
-    they are summed, and the sum by ``s/p``: outside the subnormal range both
-    steps are exact scalings, so the bits are those of ``sum/s``, and the sum
-    cannot overflow where every entry is finite.
-    """
-    s = diag.shape[-1]
-    p = 2.0 ** (s - 1).bit_length()
-    return (diag / p).sum(axis=-1) / (s / p)
+def _rate(diag: np.ndarray, q=1.0):
+    """``trace(D)/s`` from the diagonal of ``D`` over ``q`` (see
+    :func:`_diagonal`), shape ``(..., s)``: its mean times ``q``."""
+    return diag.sum(axis=-1) / diag.shape[-1] * q
 
 
 def average_dissipation_rate(t: Tableau, z, variant: str = "standard"):
     """``R(z) = trace(D)/s`` of the given variant, shape ``z.shape``, from the
-    diagonal of ``A(z)`` alone, with no DOC recursion: finite wherever every
-    diagonal entry of ``D`` is, also where entries below it or their sum overflow."""
+    diagonal of ``A(z)`` alone, with no DOC recursion.  The diagonal is formed
+    over ``q``, the power of two above ``max(s, |z|)`` (at most ``2**1023``):
+    outside the subnormal range an exact scaling, so the bits are those of
+    ``sum/s``, and finite with its sum wherever the rate is representable,
+    also where ``1/a_{k+1,k}``, entries below it or their plain sum overflow."""
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         a_diag = np.diagonal(coefficient_matrix(t, z), axis1=-2, axis2=-1)
-        return _rate(_diagonal(a_diag, z, variant, t.label))
+        q = np.ldexp(1.0, np.minimum(np.frexp(np.maximum(t.stages, np.abs(z)))[1], 1023))
+        return _rate(_diagonal(a_diag, z, variant, t.label, q), q)
 
 
 def default_z_grid() -> np.ndarray:
@@ -201,7 +201,7 @@ class Classification:
 
 def _scan(t: Tableau, z, variant: str) -> tuple:
     """The rate, the leading principal minors of ``S(D; z)`` and where minor
-    ``j`` falls below ``-_TOL * max(1, max_k |S_kk|)^j``: shapes
+    ``j`` falls below the tolerance of :func:`scan_method`: shapes
     ``z.shape``, ``z.shape + (s,)`` and ``z.shape + (s,)``, from one ``D(z)``.
 
     Raises :class:`SingularDiagonalError` at the first ``z`` where a minor is
@@ -213,6 +213,8 @@ def _scan(t: Tableau, z, variant: str) -> tuple:
         # S and D share their diagonal
         diag = np.diagonal(d, axis1=-2, axis2=-1)
         scale = np.maximum(1.0, np.max(np.abs(diag), axis=-1))
+        if variant == "implicit":
+            scale = np.maximum(scale, np.abs(z))
         below = minors < -_TOL * scale[..., None] ** np.arange(1, t.stages + 1)
         rate = _rate(diag)
     finite = np.all(np.isfinite(minors), axis=-1)
@@ -228,9 +230,11 @@ def scan_method(t: Tableau, z_grid=None, variant: str = "standard"):
     shapes ``(n,)``, ``(n,)``, ``(n, s)`` (one CSV row per grid point), all
     from one ``D(z)``.
 
-    The tolerance scales with the matrix magnitude: minor ``j`` must stay
-    above ``-_TOL * max(1, max_k |S_kk|)^j``.  On failure the witness is the
-    smallest-|z| violating grid point, sharpened by 20 bisection steps
+    The tolerance scales with the terms that form the diagonal: minor ``j``
+    must stay above ``-_TOL * max(1, max_k |S_kk|)^j``, and in the implicit
+    variant, whose diagonal ``1/a + z`` cancels terms as large as ``|z|``,
+    above ``-_TOL * max(1, |z|, max_k |S_kk|)^j``.  On failure the witness is
+    the smallest-|z| violating grid point, sharpened by 20 bisection steps
     toward the adjacent passing point; its minor comes from the scan that
     judged it, the grid's or the last failing midpoint's.  Raises
     :class:`SingularDiagonalError` where a minor is not finite.

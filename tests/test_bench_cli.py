@@ -481,15 +481,6 @@ def test_cli_energy_zero_horizon(monitor, tmp_path):
     assert not (tmp_path / "etd1_margins.csv").exists()
 
 
-# D(z) leaves the float64 range on these grids; a run finds that only while
-# scanning them, after it made its output directory
-_SCANNED = [
-    ["analyze", "--method", "ho4", "--grid", "log:1e20:1e30:3"],
-    ["rate", "--method", "ho4", "--grid", "lin:-1e160:-1e150:3"],
-    ["analyze", "--method", "cm4", "--grid", "lin:-1e160:-1e150:3"],
-]
-
-
 @pytest.mark.parametrize("argv", [
     ["energy", "--method", "etd1", "--tau", "0.03", "--T", "1"],
     ["energy", "--method", "etd1", "--tau", "-0.1"],
@@ -515,7 +506,12 @@ _SCANNED = [
     ["converge", "--method", "etd1", "--ref-tau", "-1"],
     ["converge", "--method", "etd1", "--ref-tau", "inf"],
     ["converge", "--method", "etd1", "--tau", "0.01,0.01", "--T", "0.02"],
-    *_SCANNED,
+    # D(z) leaves the float64 range on these grids, found while scanning them
+    ["analyze", "--method", "ho4", "--grid", "log:1e20:1e30:3"],
+    ["rate", "--method", "ho4", "--grid", "lin:-1e160:-1e150:3"],
+    ["analyze", "--method", "cm4", "--grid", "lin:-1e160:-1e150:3"],
+    # a diagonal coefficient of the monitor's D(z) vanishes at a point of the run
+    ["energy", "--method", "ho4", "--tau", "1e15", "--T", "1e15", "--monitor"],
     ["analyze", "--method", "etd1", "--grid", "lin:-1:0:2:5"],
     ["converge", "--method", "etd1", "--ref-method", "foo"],
     ["energy", "--method", "etd1", "--T", "nan"],
@@ -530,10 +526,7 @@ def test_cli_bad_input_exits_with_config_error(argv, capsys, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    if argv in _SCANNED:
-        assert not (out.exists() and any(out.iterdir()))
-    else:
-        assert not out.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("h", ["0", "nan", "inf", "-1", "1e-300"])
@@ -714,6 +707,29 @@ def test_cli_converge_reference_store_is_bounded(monkeypatch, capsys, tmp_path):
         "error: the reference run would keep 9900 states of m=1048576 points, "
         "more than 134217728 values\n")
     assert not out.exists()
+
+
+def test_cli_step_rule_holds_only_for_the_steps_a_run_takes(capsys, tmp_path):
+    # energy steps with its first tau alone, and analyze takes no step
+    out = tmp_path / "out"
+    assert main(["energy", "--method", "etd1", "--tau", "0.1,0.03", "--T", "1", "--m", "15",
+                 "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["etd1_energy.csv", "etd1_final.csv"]
+    energy = np.loadtxt(out / "etd1_energy.csv", delimiter=",", skiprows=1)
+    assert energy.shape == (11, 2) and energy[-1, 0] == pytest.approx(1.0)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("T = 0.013\n")
+    assert main(["analyze", "--method", "etd1", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out.endswith(f"{'etd1':28s} PSD-on-grid\n")
+
+
+def test_cli_implicit_verdict_far_out_is_psd(capsys):
+    # the implicit diagonal 1/a + z cancels terms as large as |z|, and out to
+    # |z| = 1e8 its rounding is no witness: each method reads PSD-on-grid
+    specs = ["etd1", "eerk2:c2=1", "eerk2w:c2=1/2"]
+    methods = [arg for spec in specs for arg in ("--method", spec)]
+    assert main(["analyze", "--implicit", *methods, "--grid", "log:1e4:1e8:401"]) == 0
+    assert capsys.readouterr().out == "".join(f"{spec:28s} PSD-on-grid\n" for spec in specs)
 
 
 @pytest.mark.parametrize("argv", [

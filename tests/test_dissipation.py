@@ -361,6 +361,29 @@ def test_eerk2_below_abscissa_threshold_is_npd(name, c2):
     assert c.witness.minor_index == 2
 
 
+# the catalog on the default grid, and out to 1e8 three implicit methods,
+# whose diagonal 1/a + z cancels terms as large as |z|
+_FAR_IMPLICIT = [("etd1", {}), ("eerk2", {"c2": 1}), ("eerk2w", {"c2": "1/2"})]
+_EIGEN_CASES = ([(n, p, v, "default") for n, p in CATALOG for v in VARIANTS]
+                + [(n, p, "implicit", "far") for n, p in _FAR_IMPLICIT])
+
+
+@pytest.mark.parametrize("name,params,variant,grid", _EIGEN_CASES,
+                         ids=[f"{n}{p}-{v}-{g}" for n, p, v, g in _EIGEN_CASES])
+def test_minor_verdict_matches_smallest_eigenvalue(name, params, variant, grid):
+    # nonnegative leading minors alone do not make S semidefinite: PSD where
+    # the smallest eigenvalue of S stays above a rounding bound of the terms
+    # that form it, at every grid point, must be the minors' verdict too
+    t = get_method(name, **params)
+    z = default_z_grid() if grid == "default" else -np.logspace(8, 4, 401)
+    d = differentiation_matrix(t, z, variant)
+    lam = np.linalg.eigvalsh(0.5 * (d + np.swapaxes(d, -1, -2)))[..., 0]
+    size = np.max(np.abs(np.diagonal(d, axis1=-2, axis2=-1)), axis=-1) + np.abs(z)
+    psd = np.all(lam >= -8 * t.stages * np.finfo(float).eps * size)
+    assert classify_method(t, z, variant).verdict == ("PSD-on-grid" if psd else "NPD")
+    assert psd or grid == "default"
+
+
 def test_unknown_variant_is_rejected():
     t = get_method("eerk2", c2="1/2")
     for call in (differentiation_matrix, average_dissipation_rate, classify_method, scan_method):
@@ -474,8 +497,6 @@ def test_rate_near_the_float64_limit_matches_60_digits_outside_the_hole():
     assert np.all(rate[beyond] == -np.inf)
 
 
-@pytest.mark.xfail(strict=True, reason="an infinite 1/a_{k+1,k} makes the rate -inf in the "
-                   "hole; summing the diagonal scaled by 1/|z| (w = -1/z) mends it")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rate_in_the_hole_matches_60_digits():
     rate, exact, _ = _huge_rates()

@@ -1,16 +1,23 @@
-"""Property tests of the tableau catalog, derandomized and bounded.
+"""Property tests of the tableau catalog and of the command line,
+derandomized and bounded.
 
 Abscissas are drawn as exact fractions ``p/q`` in (0, 1]; ``eerk32`` is
 drawn away from its three degenerate choices, which ``get_method`` refuses.
 """
 
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eerk.bench import parse_z_grid
+from eerk.cli import main
 from eerk.dissipation import (
     VARIANTS,
     SingularDiagonalError,
@@ -103,3 +110,29 @@ def test_scan_rate_is_the_average_dissipation_rate(t, zs, variant):
 def test_row_sums_are_the_abscissa_equilibria(t, zs):
     rep = verify_row_sums(t, np.array(zs))
     assert rep.passed, (t.label, rep)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(tableaux(max_q=12), st.sampled_from(["analyze", "rate"]), st.booleans(),
+       st.floats(-6, 300), st.floats(-6, 300), st.integers(1, 16))
+def test_cli_out_is_whole_or_absent(t, command, implicit, lo, hi, n):
+    # a run either writes every CSV it names or, refused (exit 2), makes no
+    # output directory, also where D(z) leaves the float64 range
+    # "+" joins grid chunks, so the exponents are written without it
+    grid = f"log:{10.0 ** lo!r}:{10.0 ** hi!r}:{n}".replace("e+", "e")
+    argv = [command, "--method", t.label, "--grid", grid, "--implicit", "on" if implicit else "off"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and not out.exists(), argv
+            return
+        assert code == 0, argv
+        slug = t.label.translate(str.maketrans(":=,/", "----"))
+        curves = f"{slug}_minors.csv" if command == "analyze" else f"{slug}_rate.csv"
+        names = {curves, "classification.csv"} if command == "analyze" else {curves}
+        assert {f.name for f in out.iterdir()} == names, argv
+        rows = (out / curves).read_text().splitlines()
+        assert len(rows) == 1 + parse_z_grid(grid).size, argv
