@@ -1,7 +1,8 @@
 """Benchmark drivers: convergence tables, energy runs, method analysis.
 
 All drivers consume an :class:`ExperimentConfig` (key=value config file plus
-overrides) and emit plain CSV with 17 significant digits, so identical
+overrides) and emit CSV with 17 significant digits, a text cell quoted where
+it holds a comma, a quote or a line break (RFC 4180), so identical
 configurations produce bit-identical output files.
 
 Default problem setup is the 1-D Cahn-Hilliard benchmark: interval
@@ -59,26 +60,24 @@ class BenchDivergence(RuntimeError):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
+    if isinstance(value, str):  # RFC 4180: quoted if it holds a comma, a quote or a line break
+        return '"' + value.replace('"', '""') + '"' if set(value) & set(',"\r\n') else value
     return f"{value:.17g}"
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write rows of numbers/strings as CSV with 17 significant digits into
-    an existing directory; a failed write is a ``ConfigError``."""
+def write_csv(path, header, block) -> Path:
+    """Write a 2-D array as CSV into an existing directory: a float block in
+    one 17-significant-digit format, an object block cell by cell (``None``
+    empty, text quoted where it holds a comma, a quote or a line break); a
+    failed write is a ``ConfigError``."""
     path = Path(path)
-    lines = [",".join(header)]
-    # a row of as many numbers as the header is one format; a row with an
-    # empty or text cell, or of another length, goes cell by cell
-    numeric = ",".join(["%.17g"] * len(header))
-    for row in rows:
-        try:
-            lines.append(numeric % tuple(row))
-        except TypeError:
-            lines.append(",".join(_fmt(v) for v in row))
+    if block.dtype == object:
+        rows = [",".join(map(_fmt, row)) for row in block.tolist()]
+    else:
+        numeric = ",".join(["%.17g"] * len(header))
+        rows = [numeric % tuple(row) for row in block.tolist()]
     try:
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join([",".join(header), *rows]) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
@@ -99,7 +98,7 @@ def _output(cfg):
 
     def write(name, header, *columns):
         path = cfg.out / (name.translate(str.maketrans(":=,/", "----")) + ".csv")
-        write_csv(path, header, np.column_stack(columns).tolist())
+        write_csv(path, header, np.column_stack(columns))
 
     return write
 

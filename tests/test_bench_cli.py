@@ -1,6 +1,7 @@
 """Tests for the benchmark drivers and the CLI."""
 
 import argparse
+import csv
 import math
 from pathlib import Path
 
@@ -144,9 +145,9 @@ def test_shipped_configs_parse():
 
 
 def test_write_csv_is_deterministic(tmp_path):
-    rows = [(0.1, 1 / 3, None), (0.2, 2e-17, "x")]
-    p1 = write_csv(tmp_path / "a.csv", ["a", "b", "c"], rows)
-    p2 = write_csv(tmp_path / "b.csv", ["a", "b", "c"], rows)
+    block = np.array([(0.1, 1 / 3, None), (0.2, 2e-17, "x")], dtype=object)
+    p1 = write_csv(tmp_path / "a.csv", ["a", "b", "c"], block)
+    p2 = write_csv(tmp_path / "b.csv", ["a", "b", "c"], block)
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text().splitlines()
     assert text[0] == "a,b,c"
@@ -154,15 +155,27 @@ def test_write_csv_is_deterministic(tmp_path):
 
 
 def test_write_csv_rows_match_per_cell_format(tmp_path):
-    # whole numeric rows take one format; the bytes are those of one
-    # 17-digit format per cell, empty for None, text as it is
+    # a float block takes one format for the whole file; its bytes are those
+    # of one 17-digit format per cell
     special = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.8e308, 2**60, 7]
-    rows = ([(a, np.float64(b), c) for a, b, c in zip(special, special[1:] + special[:1], special[2:] * 2)]
-            + [(None, 0.5, "x"), ("y", None, -0.0), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
-    text = write_csv(tmp_path / "a.csv", ["a", "b", "c"], rows).read_text()
-    want = ["a,b,c"] + [",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}"
-                                 for v in row) for row in rows]
+    columns = [special, special[1:] + special[:1], special[2:] + special[:2]]
+    text = write_csv(tmp_path / "f.csv", ["a", "b", "c"], np.array(columns).T).read_text()
+    want = ["a,b,c"] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     assert text == "\n".join(want) + "\n"
+    # an object block goes cell by cell: None is empty, and text is quoted
+    # where it holds a comma, a quote or a line break, inner quotes doubled
+    rows = [("etd1", "PSD-on-grid", None, None, None),
+            ("eerk32:c2=1/2,c3=7/10", "NPD", -3.14, 3, -0.0),
+            ('say "on"', "two\nlines", 0.5, 2**60, 7)]
+    path = write_csv(tmp_path / "o.csv", ["method", "verdict", "z", "minor", "value"],
+                     np.array(rows, dtype=object))
+    assert path.read_text() == ("method,verdict,z,minor,value\n"
+                                "etd1,PSD-on-grid,,,\n"
+                                '"eerk32:c2=1/2,c3=7/10",NPD,-3.1400000000000001,3,-0\n'
+                                '"say ""on""","two\nlines",0.5,1.152921504606847e+18,7\n')
+    with open(path, newline="") as fh:
+        read = list(csv.reader(fh))[1:]
+    assert [row[:2] for row in read] == [list(row[:2]) for row in rows]
 
 
 # --------------------------------------------------------------------------
@@ -184,9 +197,9 @@ def test_run_convergence_orders_and_csv(tmp_path):
     assert rows[0].order is None
     assert rows[1].error < rows[0].error
     assert rows[1].order == pytest.approx(2.0, abs=0.5)
-    csv = (tmp_path / "eerk2w-c2-1-2_convergence.csv").read_text().splitlines()
-    assert csv[0] == "tau,error,order"
-    assert len(csv) == 3 and csv[1].endswith(",")
+    table = (tmp_path / "eerk2w-c2-1-2_convergence.csv").read_text().splitlines()
+    assert table[0] == "tau,error,order"
+    assert len(table) == 3 and table[1].endswith(",")
 
 
 def test_run_convergence_single_tau_no_order():
@@ -262,6 +275,20 @@ def test_default_reference_keeps_third_order(method):
     assert rows[-1].order >= 2.5
 
 
+def test_finer_reference_lowers_the_order_of_its_own_method_most():
+    # a member that is the reference method has errors correlated with the
+    # reference's, which lift its order: from tau_0/32 to tau_0/256 the last
+    # orders fell 1.96, 1.97, 1.99 -> 1.93, 1.93, 1.94, but 2.01 -> 1.94 for
+    # eerk2w:c2=3/11 (T=1/2; ROADMAP item 18)
+    config = Path(__file__).resolve().parent.parent / "configs" / "table-second-order.cfg"
+    last = [{label: rows[-1].order for label, rows in
+             run_convergence(load_config(config, {"T": "0.5", "ref_tau": ref_tau})).items()}
+            for ref_tau in (None, "3.90625e-5")]
+    drops = {label: last[0][label] - last[1][label] for label in last[0]}
+    own = drops.pop("eerk2w:c2=3/11")
+    assert own > max(drops.values())
+
+
 def test_run_convergence_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_convergence(small_cfg(out=a))
@@ -319,10 +346,10 @@ def test_cli_converge_zero_error_has_undefined_order(taus, zero_row, capsys, tmp
     assert code == 0
     table = capsys.readouterr().out.splitlines()[2:]
     assert [line.split()[-1] for line in table] == ["-", "-"]
-    csv = [line.split(",") for line in
-           (tmp_path / "eerk2w-c2-1_convergence.csv").read_text().splitlines()[1:]]
-    assert [row[2] for row in csv] == ["", ""]
-    assert [float(row[1]) == 0.0 for row in csv] == [i == zero_row for i in range(2)]
+    table = [line.split(",") for line in
+             (tmp_path / "eerk2w-c2-1_convergence.csv").read_text().splitlines()[1:]]
+    assert [row[2] for row in table] == ["", ""]
+    assert [float(row[1]) == 0.0 for row in table] == [i == zero_row for i in range(2)]
 
 
 # --------------------------------------------------------------------------
@@ -756,8 +783,8 @@ def test_cli_without_out_writes_nothing(argv, capsys, monkeypatch, tmp_path):
 def test_cli_rate_reads_only_the_diagonal(method, grid, capsys, tmp_path):
     # the rate is read off the diagonal of D, which stays finite
     assert main(["rate", "--method", method, "--grid", grid, "--implicit", "--out", str(tmp_path)]) == 0
-    (csv,) = tmp_path.iterdir()
-    z, rate, rate_implicit = np.loadtxt(csv, delimiter=",", skiprows=1).T
+    (path,) = tmp_path.iterdir()
+    z, rate, rate_implicit = np.loadtxt(path, delimiter=",", skiprows=1).T
     assert z.shape == (3,) and np.all(np.isfinite([rate, rate_implicit]))
     # the printed rates are the curve's ends, on the grid it carries
     assert capsys.readouterr().out == (
@@ -853,6 +880,31 @@ def test_cli_runs_are_repeatable(argv, n_files, capsys, tmp_path):
         runs.append((capsys.readouterr().out, files))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) == n_files
+
+
+_LABELLED = [*CATALOG_SPECS, "eerk32:c2=1/2,c3=7/10"]
+_LABELLED_ARGS = [arg for spec in _LABELLED for arg in ("--method", spec)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["analyze", *_LABELLED_ARGS],
+    ["analyze", *_LABELLED_ARGS, "--implicit"],
+    ["rate", *_CATALOG_ARGS, "--implicit"],
+    ["converge", "--method", "eerk2w:c2=1", "--tau", "0.03,0.02", "--ref-tau", "0.01",
+     "--T", "0.6", "--m", "31"],
+    ["energy", "--config", str(DECAY), "--T", "1", "--monitor"],
+], ids=["analyze", "analyze-implicit", "rate-implicit", "converge", "energy-monitored"])
+def test_cli_csvs_are_rectangular(argv, capsys, tmp_path):
+    # every CSV reads back under csv.reader as rows as long as its header,
+    # and a label with a comma reads back whole
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for path in tmp_path.iterdir():
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        if path.name == "classification.csv":
+            assert [row[0] for row in rows] == _LABELLED
 
 
 def test_stage_law_verdicts(capsys, tmp_path):
