@@ -31,7 +31,7 @@ from eerk.dissipation import (
 )
 from eerk.integrator import Ensemble, _check_stiffness, _step_count, integrate
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator
-from eerk.tableaux import MethodError, parse_method
+from eerk.tableaux import parse_method
 
 __all__ = [
     "ConfigError",
@@ -83,14 +83,18 @@ def write_csv(path, header, block) -> Path:
     return path
 
 
-def _output(cfg):
+def _output(cfg, tableaux):
     """The writer of a run's CSV files: ``write(name, header, *columns)``
     stacks vectors and 2-D blocks into ``<out>/<name>.csv``, the name made
     file-safe, or does nothing without an output directory.  Called once a
-    run is admitted, so that a refused run makes no directory and an
-    unusable one ends a run before its first step."""
+    run is admitted; before it makes the directory, it refuses a label of
+    ``tableaux`` too long to name a file (over 239 characters)."""
     if cfg.out is None:
         return lambda name, header, *columns: None
+    for t in tableaux:
+        if len(t.label) > _MAX_LABEL:
+            raise ConfigError(f"method label {t.label[:24]}... has {len(t.label)} characters; "
+                              f"with --out, a label names files and may have at most {_MAX_LABEL}")
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -118,6 +122,7 @@ def initial_profile(name: str, x: np.ndarray) -> np.ndarray:
 # store of a convergence table: 1 GiB
 _MAX_POINTS = 2**20
 _MAX_STORE = 2**27
+_MAX_LABEL = 255 - len("_convergence.csv")  # a file name's 255 bytes less the longest suffix
 _LENGTH = 2.0 * np.pi  # the interval is (0, 2*pi)
 
 
@@ -173,10 +178,7 @@ class ExperimentConfig:
     def tableaux(self) -> list:
         if not self.methods:
             raise ConfigError("no method specified")
-        try:
-            tableaux = [parse_method(spec) for spec in self.methods]
-        except MethodError as exc:
-            raise ConfigError(str(exc)) from exc
+        tableaux = [_admit(parse_method, spec) for spec in self.methods]
         # a method's printed line and CSV files go under its label
         specs = {}
         for spec, t in zip(self.methods, tableaux):
@@ -212,16 +214,13 @@ class ExperimentConfig:
         if spec is None:
             third = any(t.stages >= 3 for t in tableaux)
             spec = "eerk31:c2=4/9" if third else "eerk2w:c2=3/11"
-        try:
-            ref = parse_method(spec)
-        except MethodError as exc:
-            raise ConfigError(str(exc)) from exc
         tau = self.ref_tau if self.ref_tau is not None else self.taus[0] / 32.0
-        return ref, float(tau)
+        return _admit(parse_method, spec), float(tau)
 
 
 def _admit(rule, *args):
-    """``rule(*args)`` of the integrator, whose ValueError is a ConfigError."""
+    """``rule(*args)``, whose ValueError is a ConfigError: the one converter of
+    library refusals, method specs' included; ``_output`` refuses long labels."""
     try:
         return rule(*args)
     except ValueError as exc:
@@ -407,7 +406,7 @@ def run_convergence(cfg: ExperimentConfig):
     if states * problem.op.m > _MAX_STORE:
         raise ConfigError(f"the reference run would keep {states} states of m={problem.op.m} "
                           f"points, more than {_MAX_STORE} values")
-    write = _output(cfg)
+    write = _output(cfg, tableaux)
     reference = np.empty((states, problem.op.m))
 
     def keep(n0, stages):
@@ -469,7 +468,7 @@ def run_energy(cfg: ExperimentConfig):
     if cfg.monitor:  # the monitor's D(z) at the run's points refuses a vanishing a_{k+1,k}
         for t in tableaux:
             average_dissipation_rate(t, -tau * problem.mu)
-    write = _output(cfg)
+    write = _output(cfg, tableaux)
     reports = {}
     runs = _integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, cfg.monitor)
     for t, report in zip(tableaux, runs):
@@ -489,7 +488,7 @@ def run_analysis(cfg: ExperimentConfig):
     grid = cfg.z_grid()
     variant = "implicit" if cfg.implicit else "standard"
     scans = [scan_method(t, z_grid=grid, variant=variant) for t in tableaux]
-    write = _output(cfg)
+    write = _output(cfg, tableaux)
     results = {}
     summary_rows = []
     for t, (z, rate, minors, verdict) in zip(tableaux, scans):
@@ -517,7 +516,7 @@ def run_rate(cfg: ExperimentConfig):
         if cfg.implicit:
             data["rate_implicit"] = average_dissipation_rate(t, grid, "implicit")
         curves[t.label] = data
-    write = _output(cfg)
+    write = _output(cfg, tableaux)
     for label, data in curves.items():
         write(f"{label}_rate", list(data), *data.values())
     return curves

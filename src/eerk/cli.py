@@ -15,9 +15,9 @@ spelled ``--key`` with ``_`` written ``-``; flags override the config file,
 which overrides the subcommand's defaults.  All outputs are CSV.  Exit
 codes: 0 success, 2 configuration error (also a z grid on which a diagonal
 coefficient of D(z) vanishes or, for analyze, a minor leaves the float64
-range, and a monitored energy run at whose points ``-tau*mu`` a diagonal
-coefficient vanishes), 3 divergence.  A run that exits 2 makes no output
-directory.
+range, a monitored energy run at whose points ``-tau*mu`` a diagonal
+coefficient vanishes, and with ``--out`` a method label of more than 239
+characters), 3 divergence.  A run that exits 2 makes no output directory.
 """
 
 from __future__ import annotations

@@ -23,6 +23,10 @@ two-parameter third-order family in closed form.
 ``sum_n x^n/(n+k)!`` below, and each ``Fraction`` weight taken as
 ``mpf(p)/q``; ``D(z)`` from it through the DOC recursion, its rate, and the
 leading principal minors of its symmetric part by ``mp.det``.
+
+Exact: the sympy twin of that basis, ``phi_k(c z)`` by the same identity
+as an expression in a symbol ``z`` and each weight a ``Rational``, so the
+builders give ``A(z)`` in closed form; sympy is imported only by it.
 """
 
 import math
@@ -290,21 +294,24 @@ class _Mp:
     def __init__(self, value):
         self.value = value
 
+    @staticmethod
+    def weight(w: Fraction):
+        return mpf(w.numerator) / w.denominator
+
     def __add__(self, other):
-        return _Mp(self.value + other.value)
+        return type(self)(self.value + other.value)
 
     def __sub__(self, other):
-        return _Mp(self.value - other.value)
+        return type(self)(self.value - other.value)
 
     def __neg__(self):
-        return _Mp(-self.value)
+        return type(self)(-self.value)
 
     def __mul__(self, other):
         if isinstance(other, _Mp):
-            return _Mp(self.value * other.value)
+            return type(self)(self.value * other.value)
         if isinstance(other, (int, Fraction)):
-            w = Fraction(other)
-            return _Mp(mpf(w.numerator) / w.denominator * self.value)
+            return type(self)(self.weight(Fraction(other)) * self.value)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -333,8 +340,7 @@ def basis_60(z):
 
     def P(k: int, c=1) -> _Mp:
         if (k, c) not in memo:
-            w = Fraction(c)
-            memo[k, c] = _Mp(_phi_mp(k, mpf(w.numerator) / w.denominator * z))
+            memo[k, c] = _Mp(_phi_mp(k, _Mp.weight(Fraction(c)) * z))
         return memo[k, c]
 
     return P
@@ -380,3 +386,37 @@ def average_dissipation_rate_60(t: Tableau, z, variant: str = "standard"):
     with mp.workdps(DIGITS):
         d = _differentiation_matrix_60(t, z, variant)
         return sum(d[k, k] for k in range(t.stages)) / t.stages
+
+
+# --------------------------------------------------------------------------
+# Exact A(z): sympy expressions in z
+# --------------------------------------------------------------------------
+
+
+class _Exact(_Mp):
+    """An exact coefficient value: a sympy expression, with ``int`` or
+    ``Fraction`` weights ``p/q`` taken as ``Rational(p, q)``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def weight(w: Fraction):
+        import sympy
+
+        return sympy.Rational(w)
+
+
+def basis_exact(z):
+    """The symbolic twin of ``basis_60``: ``P(k, c)`` is ``phi_k(c z)`` as a
+    sympy expression in the symbol ``z``, ``x^-k (e^x - sum_{j<k} x^j/j!)``
+    with ``x = c z``, and ``P(k, 0) = 1/k!``.  sympy is imported here, so a
+    module that imports this one needs none."""
+    import sympy
+
+    def P(k: int, c=1) -> _Exact:
+        x = _Exact.weight(Fraction(c)) * z
+        if x == 0:
+            return _Exact(sympy.Rational(1, math.factorial(k)))
+        return _Exact((sympy.exp(x) - sum(x**j / math.factorial(j) for j in range(k))) / x**k)
+
+    return P

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eerk.bench import parse_z_grid
@@ -115,6 +115,8 @@ def test_row_sums_are_the_abscissa_equilibria(t, zs):
 @settings(PROPERTY, max_examples=20)
 @given(tableaux(max_q=12), st.sampled_from(["analyze", "rate"]), st.booleans(),
        st.floats(-6, 300), st.floats(-6, 300), st.integers(1, 16))
+# a 252-character label, too long to name its CSV file
+@example(get_method("eerk2", c2=Fraction(1, 10**240)), "rate", False, 0.0, 1.0, 3)
 def test_cli_out_is_whole_or_absent(t, command, implicit, lo, hi, n):
     # a run either writes every CSV it names or, refused (exit 2), makes no
     # output directory, also where D(z) leaves the float64 range

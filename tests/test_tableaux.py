@@ -1,10 +1,12 @@
 """Tests for the EERK tableau catalog and coefficient identities."""
 
+import math
 import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 from mpmath import mp
 
 from eerk.dissipation import default_z_grid
@@ -15,7 +17,14 @@ from eerk.tableaux import (
     get_method,
     parse_method,
 )
-from oracles import DIGITS, basis_60, butcher_diff, verify_order_conditions, verify_row_sums
+from oracles import (
+    DIGITS,
+    basis_60,
+    basis_exact,
+    butcher_diff,
+    verify_order_conditions,
+    verify_row_sums,
+)
 
 Z_SET = np.array([-1e-4, -0.1, -1.0, -10.0, -100.0, -1e4])
 
@@ -311,6 +320,63 @@ def test_order_condition_shape_errors():
         verify_order_conditions(get_method("cm4"), 3, GRID)
     with pytest.raises(MethodError):
         verify_order_conditions(get_method("eerk2", c2=1), 3, GRID)
+
+
+# --------------------------------------------------------------------------
+# Exact conditions: the builders on sympy expressions in z
+# --------------------------------------------------------------------------
+
+Z = sympy.Symbol("z")
+
+#: psi_1..psi_4 of each catalog method: 0 an identity in z, w true only at
+#: z = 0, x false at z = 0.  The w in psi_4 of eerk32:c2=1,c3=1/2 is
+#: Simpson's rule: its weights at z = 0 are 1/6, 1/6 and 2/3 at c = 0, 1, 1/2.
+QUADRATURE = {
+    "etd1": "0xxx",
+    "eerk2:c2=1/2": "00xx",
+    "eerk2w:c2=3/11": "0wxx",
+    "eerk2s:c2=3/4": "00xx",
+    "eerk31:c2=4/9": "00wx",
+    "eerk32:c2=1,c3=1/2": "00ww",
+    "etd3rk": "000w",
+    "etd2cf3": "000x",
+    "cm4": "000w",
+    "krogstad4": "000w",
+    "sw4": "000w",
+    "ho4": "000w",
+}
+
+
+def _is_identity_zero(expr) -> bool:
+    # a sum of z^k e^{cz} terms, whose distinct (k, c) are linearly
+    # independent, so it is identically 0 iff it expands to 0
+    return sympy.expand(expr) == 0
+
+
+def test_exact_row_sums_are_the_abscissa_equilibria():
+    # criterion 3 as an identity in z
+    for spec in QUADRATURE:
+        t = parse_method(spec)
+        for i, row in enumerate(t.rows(basis_exact(Z))):
+            target = (sympy.exp(sympy.Rational(t.c[i + 1]) * Z) - 1) / Z
+            assert _is_identity_zero(sum(e.value for e in row) - target), (spec, i + 1)
+
+
+def test_exact_quadrature_conditions_are_pinned():
+    # psi_j = sum_i b_i c_i^(j-1)/(j-1)! - phi_j(z), j = 1..4
+    P = basis_exact(Z)
+    for spec, pinned in QUADRATURE.items():
+        t = parse_method(spec)
+        b = [e.value for e in t.rows(P)[-1]]
+        c = [sympy.Rational(ci) for ci in t.c[:-1]]
+        kinds = ""
+        for j in range(1, 5):
+            psi = sum(bi * ci ** (j - 1) for bi, ci in zip(b, c)) / math.factorial(j - 1) - P(j).value
+            if _is_identity_zero(psi):
+                kinds += "0"
+            else:
+                kinds += "w" if sympy.limit(psi, Z, 0) == 0 else "x"
+        assert kinds == pinned, spec
 
 
 # --------------------------------------------------------------------------
