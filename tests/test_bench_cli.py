@@ -888,8 +888,6 @@ def test_cli_label_limit_holds_only_with_out(capsys, tmp_path):
 CATALOG_SPECS = ["etd1", "eerk2:c2=1/2", "eerk2w:c2=3/11", "eerk2s:c2=3/4", "eerk31:c2=4/9",
                  "eerk32:c2=1,c3=1/2", "etd3rk", "etd2cf3", "cm4", "krogstad4", "sw4", "ho4"]
 _CATALOG_ARGS = [arg for spec in CATALOG_SPECS for arg in ("--method", spec)]
-_LABELLED = [*CATALOG_SPECS, "eerk32:c2=1/2,c3=7/10"]
-_LABELLED_ARGS = [arg for spec in _LABELLED for arg in ("--method", spec)]
 DECAY = Path(__file__).resolve().parent.parent / "configs" / "energy-decay.cfg"
 
 
@@ -898,8 +896,8 @@ DECAY = Path(__file__).resolve().parent.parent / "configs" / "energy-decay.cfg"
     # 60 reference steps over 20 and over 30 coarse ones: strides 3 and 2
     (["converge", "--method", "eerk2w:c2=1", "--tau", "0.03,0.02", "--ref-tau", "0.01",
       "--T", "0.6", "--m", "31"], 1),
-    (["analyze", *_LABELLED_ARGS], 14),
-    (["analyze", *_LABELLED_ARGS, "--implicit"], 14),
+    (["analyze", *_CATALOG_ARGS], 13),
+    (["analyze", *_CATALOG_ARGS, "--implicit"], 13),
     (["rate", *_CATALOG_ARGS, "--implicit"], 12),
     (["energy", "--config", str(DECAY), "--T", "1", "--monitor"], 3),
 ], ids=["converge-strides", "analyze-catalog", "analyze-catalog-implicit", "rate-catalog-implicit",
@@ -913,9 +911,26 @@ def test_cli_runs_are_repeatable(argv, n_files, capsys, tmp_path):
         runs.append((capsys.readouterr().out, files))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) == n_files
+
+
+_LABELLED = [*CATALOG_SPECS, "eerk32:c2=1/2,c3=7/10"]
+_LABELLED_ARGS = [arg for spec in _LABELLED for arg in ("--method", spec)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["analyze", *_LABELLED_ARGS],
+    ["analyze", *_LABELLED_ARGS, "--implicit"],
+    ["rate", *_CATALOG_ARGS, "--implicit"],
+    ["converge", "--method", "eerk2w:c2=1", "--tau", "0.03,0.02", "--ref-tau", "0.01",
+     "--T", "0.6", "--m", "31"],
+    ["energy", "--config", str(DECAY), "--T", "1", "--monitor"],
+], ids=["analyze", "analyze-implicit", "rate-implicit", "converge", "energy-monitored"])
+def test_cli_csvs_are_rectangular(argv, capsys, tmp_path):
     # every CSV reads back under csv.reader as rows as long as its header,
     # and a label with a comma reads back whole
-    for path in (tmp_path / "a").iterdir():
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for path in tmp_path.iterdir():
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
         assert rows and all(len(row) == len(header) for row in rows), path.name
