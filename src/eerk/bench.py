@@ -29,7 +29,7 @@ from eerk.dissipation import (
     default_z_grid,
     scan_method,
 )
-from eerk.integrator import Ensemble, _check_stiffness, _step_count, integrate
+from eerk.integrator import Ensemble, _step_count, integrate
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator
 from eerk.tableaux import parse_method
 
@@ -200,9 +200,6 @@ class ExperimentConfig:
 
     def initial_state(self, problem: Problem) -> np.ndarray:
         return initial_profile(self.ic, problem.op.x)
-
-    def z_grid(self) -> np.ndarray:
-        return parse_z_grid(self.grid)
 
     def resolve_reference(self, tableaux) -> tuple:
         """Reference method/step for convergence runs of ``tableaux``;
@@ -379,7 +376,9 @@ def run_convergence(cfg: ExperimentConfig):
     between consecutive step sizes is ``log(e_prev/e) / log(tau_prev/tau)``,
     undefined (``None``) in the first row and next to an error of exactly 0.
     Returns the rows and writes ``<label>_convergence.csv`` when an output
-    directory is configured.
+    directory is configured.  A method that diverges at some tau gets no
+    table; once every other method's table is written, ``BenchDivergence``
+    names the first diverged method in the given order.
     """
     tableaux = cfg.tableaux()
     problem = cfg.problem()
@@ -387,15 +386,12 @@ def run_convergence(cfg: ExperimentConfig):
     ref_tableau, ref_tau = cfg.resolve_reference(tableaux)
     if not cfg.t_final > 0:
         raise ConfigError(f"a convergence table needs a positive final time, got {cfg.t_final}")
-    ref_steps = _admit(_step_count, cfg.t_final, ref_tau)
-    for tau in (ref_tau, *cfg.taus):
-        _admit(_check_stiffness, problem, tau)
-
+    ref_steps = _admit(_step_count, problem, cfg.t_final, ref_tau)
     strides = []
     for i, tau in enumerate(cfg.taus):
         if i and tau == cfg.taus[i - 1]:
             raise ConfigError(f"step size {tau} is repeated; an order needs two different steps")
-        stride, rest = divmod(ref_steps, _admit(_step_count, cfg.t_final, tau))
+        stride, rest = divmod(ref_steps, _admit(_step_count, problem, cfg.t_final, tau))
         if rest:
             raise ConfigError(f"tau {tau} is not an integer multiple of ref_tau {ref_tau}")
         strides.append(stride)
@@ -436,22 +432,25 @@ def run_convergence(cfg: ExperimentConfig):
         runs.append((_integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, hooks=hooks),
                      errors))
 
-    results = {}
+    results, failure = {}, None
     for i, t in enumerate(tableaux):
         rows = []
         for tau, (reports, errors) in zip(cfg.taus, runs):
             report, error = reports[i], errors[i]
             if report.diverged:
-                raise BenchDivergence(
-                    f"{t.label} at tau={tau} diverged at step {report.diverged_step}")
+                failure = failure or f"{t.label} at tau={tau} diverged at step {report.diverged_step}"
+                break
             order = None
             if rows and rows[-1].error > 0 and error > 0:
                 prev = rows[-1]
                 order = math.log2(prev.error / error) / math.log2(prev.tau / tau)
             rows.append(ConvergenceRow(tau, error, order))
-        results[t.label] = rows
-        write(f"{t.label}_convergence", ["tau", "error", "order"],
-              np.array([(r.tau, r.error, r.order) for r in rows], dtype=object))
+        else:
+            results[t.label] = rows
+            write(f"{t.label}_convergence", ["tau", "error", "order"],
+                  np.array([(r.tau, r.error, r.order) for r in rows], dtype=object))
+    if failure:
+        raise BenchDivergence(failure)
     return results
 
 
@@ -463,8 +462,7 @@ def run_energy(cfg: ExperimentConfig):
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
     tau = cfg.taus[0]
-    _admit(_step_count, cfg.t_final, tau)
-    _admit(_check_stiffness, problem, tau)
+    _admit(_step_count, problem, cfg.t_final, tau)
     if cfg.monitor:  # the monitor's D(z) at the run's points refuses a vanishing a_{k+1,k}
         for t in tableaux:
             average_dissipation_rate(t, -tau * problem.mu)
@@ -485,7 +483,7 @@ def run_analysis(cfg: ExperimentConfig):
     """Classify each method on the z grid from one scan, which with an
     output directory also gives its minor curves, written after every scan."""
     tableaux = cfg.tableaux()
-    grid = cfg.z_grid()
+    grid = parse_z_grid(cfg.grid)
     variant = "implicit" if cfg.implicit else "standard"
     scans = [scan_method(t, z_grid=grid, variant=variant) for t in tableaux]
     write = _output(cfg, tableaux)
@@ -509,7 +507,7 @@ def run_rate(cfg: ExperimentConfig):
     the grid ``z``, ``rate`` and, with ``implicit``, ``rate_implicit``,
     written once every curve is computed."""
     tableaux = cfg.tableaux()
-    grid = cfg.z_grid()
+    grid = parse_z_grid(cfg.grid)
     curves = {}
     for t in tableaux:
         data = {"z": grid, "rate": average_dissipation_rate(t, grid)}

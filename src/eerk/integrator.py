@@ -222,28 +222,26 @@ class EnsembleReport(tuple):
         return any(report.diverged for report in self)
 
 
-def _step_count(t_final: float, tau: float) -> int:
-    """Steps of ``tau > 0`` to ``t_final``: 0, or a whole number within 8
-    ulps of ``t_final / tau`` and at most ``_MAX_STEPS``; else ValueError."""
+def _step_count(problem: Problem, t_final: float, tau: float) -> int:
+    """The one rule that admits a step size: the steps of ``tau`` to
+    ``t_final``, 0 or a whole number within 8 ulps of ``t_final / tau`` and
+    at most ``_MAX_STEPS``.  A ValueError refuses, in this order, a ``tau``
+    that is not positive, a horizon that is no such number of steps, and a
+    ``tau * mu``, where a step evaluates phi, that overflows on the
+    spectrum of ``problem`` (at a zero horizon too)."""
     if not tau > 0:
         raise ValueError(f"step size must be positive, got {tau}")
-    if t_final == 0:
-        return 0
     ratio = float(t_final) / float(tau)  # overflows to inf without a warning
     if ratio > _MAX_STEPS:
         raise ValueError(f"final time {t_final} takes more than {_MAX_STEPS} steps of tau {tau}")
     n = round(ratio) if np.isfinite(ratio) else 0
-    if n < 1 or abs(ratio - n) > 8 * np.spacing(max(1.0, ratio)):
+    if t_final != 0 and (n < 1 or abs(ratio - n) > 8 * np.spacing(max(1.0, ratio))):
         raise ValueError(f"final time {t_final} is not an integer multiple of tau {tau}")
-    return n
-
-
-def _check_stiffness(problem: Problem, tau: float) -> None:
-    """ValueError unless ``tau * mu``, where a step evaluates phi, is finite."""
     mu = float(np.max(problem.mu))
     if not np.isfinite(float(tau) * mu):  # a float product overflows without a warning
         raise ValueError(f"step size tau {tau} times the largest stiff eigenvalue "
                          f"{mu:.6g} overflows float64")
+    return n
 
 
 def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
@@ -251,9 +249,11 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     """Run ``t_final / tau`` steps from ``u0``; ``t_final = 0`` gives the
     report of the initial state alone.  On divergence the report is
     truncated at the last finite step and flagged.  Before any allocation,
-    a ``ValueError`` rejects a ``tau`` that is not positive, a ``t_final``
-    that is not ``n * tau`` (within 8 ulps) for a whole ``0 <= n <= 2**24``,
-    and a ``tau`` whose ``tau * mu`` overflows on the problem's spectrum.
+    the one step rule ``_step_count`` admits ``tau``: a ``ValueError``
+    rejects a ``tau`` that is not positive, a ``t_final`` that is not
+    ``n * tau`` (within 8 ulps) for a whole ``0 <= n <= 2**24``, and a
+    ``tau`` whose ``tau * mu`` overflows on the problem's spectrum (at a
+    zero horizon too).
 
     ``tableau`` is one :class:`Tableau`, which gives one :class:`RunReport`,
     or a sequence of them sharing a stage count (see :class:`Ensemble`),
@@ -274,8 +274,7 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     hooks = [on_block] * len(ensemble) if single or on_block is None else list(on_block)
     if len(hooks) != len(ensemble):
         raise ValueError(f"{len(ensemble)} members need as many on_block hooks, got {len(hooks)}")
-    n_steps = _step_count(t_final, tau)
-    _check_stiffness(problem, tau)
+    n_steps = _step_count(problem, t_final, tau)
     members, s, m = len(ensemble), ensemble.stages, problem.op.m
     block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)) // members)
     ws = _StepWorkspace(problem, ensemble, tau, monitor, block * s + 1)

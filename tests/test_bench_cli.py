@@ -609,7 +609,8 @@ def test_cli_weight_beyond_float64_is_a_config_error(spec, command, capsys, tmp_
      "--T", "1e308"],
     ["energy", "--method", "etd1", "--m", "31", "--kappa", "1e300", "--tau", "1e10", "--T", "1e10",
      "--monitor"],
-], ids=["energy", "converge", "energy-stiff"])
+    ["energy", "--method", "etd1", "--m", "31", "--T", "0", "--tau", "1e308"],
+], ids=["energy", "converge", "energy-stiff", "energy-zero-horizon"])
 def test_cli_step_beyond_the_stiff_spectrum_is_a_config_error(argv, capsys, tmp_path):
     # tau * mu overflows float64: refused by its tau before the output
     # directory is made, not a phi error from the first step
@@ -707,6 +708,25 @@ def test_cli_converge_divergence_exit_code(capsys):
     captured = capsys.readouterr()
     assert captured.err == "divergence: eerk2w:c2=1/10 at tau=2.0 diverged at step 5\n"
     assert captured.out == ""
+
+
+def test_cli_converge_divergence_keeps_the_same_tables_in_either_order(capsys, tmp_path):
+    # the member that runs to the end writes its table and the diverged one
+    # does not, whichever comes first; the divergence named is the same
+    methods = ["eerk2w:c2=1", "eerk2w:c2=1/10"]
+    common = ["--kappa", "0.1", "--m", "63", "--ic", "bumps", "--tau", "1,0.5", "--T", "40",
+              "--ref-method", "eerk2w:c2=1", "--ref-tau", "0.25"]
+    runs = []
+    for name, order in (("a", methods), ("b", methods[::-1])):
+        out = tmp_path / name
+        args = [arg for spec in order for arg in ("--method", spec)]
+        assert main(["converge", *args, *common, "--out", str(out)]) == 3
+        runs.append((capsys.readouterr(), {f.name: f.read_bytes() for f in out.iterdir()}))
+    assert runs[0] == runs[1]
+    captured, files = runs[0]
+    assert captured.err == "divergence: eerk2w:c2=1/10 at tau=1.0 diverged at step 5\n"
+    assert captured.out == ""
+    assert list(files) == ["eerk2w-c2-1_convergence.csv"]
 
 
 def test_cli_converge_zero_horizon_is_a_config_error(capsys, tmp_path):

@@ -19,6 +19,7 @@ from eerk.dissipation import (
     _rate,
     _scan,
 )
+from eerk.spatial import CahnHilliard, Problem, SpectralOperator
 from eerk.tableaux import coefficient_matrix, get_method, parse_method
 from oracles import (
     average_dissipation_rate_60,
@@ -544,3 +545,54 @@ def test_scan_shapes():
     # an unsorted grid gives its rows in ascending z, as the verdict reads them
     z_desc, rate_desc, _, _ = scan_method(t, z_grid=grid[::-1])
     assert np.array_equal(z_desc, grid) and np.array_equal(rate_desc, rate)
+
+
+# --------------------------------------------------------------------------
+# Run points: a step of size tau meets D(z) only at z_k = -tau mu_k
+# --------------------------------------------------------------------------
+
+PSD_CATALOG = ["etd1", "eerk2:c2=1/2", "eerk2w:c2=3/11", "eerk2s:c2=3/4", "eerk31:c2=4/9",
+               "eerk32:c2=1,c3=1/2"]
+NPD_CATALOG = ["etd3rk", "etd2cf3", "cm4", "krogstad4", "sw4", "ho4"]
+# the shipped runs' steps: the finest of the convergence tables, their
+# first, the energy run's, and one whose points on the m=639 mesh reach
+# z = -3.45e7, 3450x past the default grid
+RUN_TAUS = [0.00125, 0.01, 0.1, 0.5]
+
+
+def run_points(m, tau):
+    """The points ``-tau mu_k`` of the Cahn-Hilliard benchmark (eps 0.2,
+    kappa 2) on ``m`` interior points of (0, 2 pi), ascending."""
+    problem = Problem(SpectralOperator(2 * np.pi, m), CahnHilliard(eps=0.2, kappa=2.0))
+    return np.sort(-tau * problem.mu)
+
+
+@pytest.mark.parametrize("spec", PSD_CATALOG + NPD_CATALOG
+                         + ["eerk2:c2=2/5", "eerk2w:c2=1/4", "eerk31:c2=2/5"])
+def test_run_points_give_the_grid_verdict(spec):
+    t = parse_method(spec)
+    verdict = classify_method(t).verdict
+    for tau in RUN_TAUS:
+        assert classify_method(t, run_points(639, tau)).verdict == verdict, tau
+
+
+@pytest.mark.parametrize("spec", NPD_CATALOG)
+def test_run_point_witness_has_a_negative_60_digit_minor(spec):
+    # as on the default grid, the float minor is within 2e-7 relative of
+    # the 60-digit one (within 1.7e-8 here)
+    t = parse_method(spec)
+    for tau in RUN_TAUS:
+        w = classify_method(t, run_points(639, tau)).witness
+        exact = leading_minors_60(t, w.z)[w.minor_index - 1]
+        assert exact < 0, tau
+        assert abs(w.minor_value - exact) <= 2e-7 * abs(exact), tau
+
+
+@pytest.mark.parametrize("spec", PSD_CATALOG)
+def test_psd_catalog_is_psd_at_every_run_point_to_60_digits(spec):
+    # every leading minor, not only the float verdict: the smallest is
+    # 0.476, eerk2w's at tau 0.01
+    t = parse_method(spec)
+    for tau in (0.01, 0.5):
+        for z in run_points(63, tau):
+            assert all(minor > 0 for minor in leading_minors_60(t, z)), (tau, z)

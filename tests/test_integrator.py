@@ -249,13 +249,17 @@ def test_step_beyond_the_stiff_spectrum_is_rejected_before_any_allocation(monkey
 
 
 def test_step_count_cap_and_roundoff():
-    assert _step_count(0.0, 0.1) == 0
-    assert _step_count(0.3, 0.1) == 3  # 0.3 / 0.1 = 2.9999999999999996
-    assert _step_count(2**24 * 0.25, 0.25) == 2**24
+    p = cahn_hilliard(m=24)
+    assert _step_count(p, 0.0, 0.1) == 0
+    assert _step_count(p, 0.3, 0.1) == 3  # 0.3 / 0.1 = 2.9999999999999996
+    assert _step_count(p, 2**24 * 0.25, 0.25) == 2**24
     with pytest.raises(ValueError, match="takes more than 16777216 steps"):
-        _step_count((2**24 + 1) * 0.25, 0.25)
+        _step_count(p, (2**24 + 1) * 0.25, 0.25)
     with pytest.raises(ValueError, match="not an integer multiple"):
-        _step_count(0.3 + 1e-12, 0.1)
+        _step_count(p, 0.3 + 1e-12, 0.1)
+    # a zero horizon takes no step, yet its tau * mu must still be finite
+    with pytest.raises(ValueError, match="step size tau 1e\\+308 times the largest stiff"):
+        integrate(p, get_method("etd1"), 0.2 * np.sin(p.op.x), tau=1e308, t_final=0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
