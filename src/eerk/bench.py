@@ -29,7 +29,7 @@ from eerk.dissipation import (
     default_z_grid,
     scan_method,
 )
-from eerk.integrator import Ensemble, _step_count, integrate
+from eerk.integrator import _StepWorkspace, integrate
 from eerk.spatial import CahnHilliard, Problem, SpectralOperator
 from eerk.tableaux import parse_method
 
@@ -341,20 +341,24 @@ def load_config(path=None, overrides=None, defaults=None) -> ExperimentConfig:
 # --------------------------------------------------------------------------
 
 
-def _integrate_by_stages(problem, tableaux, u0, tau, t_final, monitor=False, hooks=None) -> list:
-    """The reports of ``tableaux``, in their order, from one ensemble run
-    per stage count; ``hooks`` holds each tableau's ``on_block``."""
-    hooks = hooks or [None] * len(tableaux)
+def _prepare(problem, tableaux, tau, t_final, monitor=False) -> list:
+    """The admitted runs of ``tableaux`` at step ``tau``, one ensemble per
+    stage count, prepared before any output."""
     groups = {}
-    for i, t in enumerate(tableaux):
-        groups.setdefault(t.stages, []).append(i)
-    reports = [None] * len(tableaux)
-    for members in groups.values():
-        ensemble = Ensemble(tableaux[i] for i in members)
-        run = integrate(problem, ensemble, u0, tau, t_final, monitor,
-                        on_block=[hooks[i] for i in members])
-        for i, report in zip(members, run):
-            reports[i] = report
+    for t in tableaux:
+        groups.setdefault(t.stages, []).append(t)
+    return [_admit(_StepWorkspace, problem, group, tau, t_final, monitor) for group in groups.values()]
+
+
+def _integrate_by_stages(problem, runs, u0, hooks=None) -> dict:
+    """The reports of the prepared ``runs`` by label, emptying the list so that
+    a run's caches go once it has run; ``hooks`` maps labels to ``on_block``."""
+    reports = {}
+    while runs:
+        ws = runs.pop(0)
+        run = integrate(problem, ws, u0, ws.tau, ws.t_final, ws.monitor,
+                        on_block=hooks and [hooks[t.label] for t in ws.ensemble])
+        reports.update((report.method, report) for report in run)
     return reports
 
 
@@ -372,7 +376,8 @@ def run_convergence(cfg: ExperimentConfig):
     gcd of the coarse strides, which covers every coarse time level; the
     error ``max_n max_j |u^n_j - u*(t_n)_j|`` of a coarse run is folded one
     block of steps at a time, and its states are not kept.  The methods run
-    together at each coarse tau, one ensemble per stage count.  The order
+    together at each coarse tau, one ensemble per stage count; each run,
+    the reference's too, is prepared before any output.  The order
     between consecutive step sizes is ``log(e_prev/e) / log(tau_prev/tau)``,
     undefined (``None``) in the first row and next to an error of exactly 0.
     Returns the rows and writes ``<label>_convergence.csv`` when an output
@@ -386,19 +391,20 @@ def run_convergence(cfg: ExperimentConfig):
     ref_tableau, ref_tau = cfg.resolve_reference(tableaux)
     if not cfg.t_final > 0:
         raise ConfigError(f"a convergence table needs a positive final time, got {cfg.t_final}")
-    ref_steps = _admit(_step_count, problem, cfg.t_final, ref_tau)
-    strides = []
+    ref = _prepare(problem, [ref_tableau], ref_tau, cfg.t_final)
+    strides, prepared = [], []
     for i, tau in enumerate(cfg.taus):
         if i and tau == cfg.taus[i - 1]:
             raise ConfigError(f"step size {tau} is repeated; an order needs two different steps")
-        stride, rest = divmod(ref_steps, _admit(_step_count, problem, cfg.t_final, tau))
+        prepared.append(_prepare(problem, tableaux, tau, cfg.t_final))
+        stride, rest = divmod(ref[0].n_steps, prepared[-1][0].n_steps)
         if rest:
             raise ConfigError(f"tau {tau} is not an integer multiple of ref_tau {ref_tau}")
         strides.append(stride)
 
     # row i holds the reference state after step (i+1)*g
     g = math.gcd(*strides)
-    states = ref_steps // g
+    states = ref[0].n_steps // g
     if states * problem.op.m > _MAX_STORE:
         raise ConfigError(f"the reference run would keep {states} states of m={problem.op.m} "
                           f"points, more than {_MAX_STORE} values")
@@ -411,7 +417,7 @@ def run_convergence(cfg: ExperimentConfig):
         first = (n0 + j + 1) // g - 1
         reference[first:first + len(ends)] = ends
 
-    ref_report = integrate(problem, ref_tableau, u0, ref_tau, cfg.t_final, on_block=keep)
+    ref_report = _integrate_by_stages(problem, ref, u0, {ref_tableau.label: keep})[ref_tableau.label]
     if ref_report.diverged:
         raise BenchDivergence(
             f"reference run {ref_tableau.label} at tau={ref_tau} diverged "
@@ -426,17 +432,16 @@ def run_convergence(cfg: ExperimentConfig):
 
     # per tau, the report and the error of each method
     runs = []
-    for tau, stride in zip(cfg.taus, strides):
+    for stride, groups in zip(strides, prepared):
         errors = [0.0] * len(tableaux)
-        hooks = [folder(errors, i, stride // g) for i in range(len(tableaux))]
-        runs.append((_integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, hooks=hooks),
-                     errors))
+        hooks = {t.label: folder(errors, i, stride // g) for i, t in enumerate(tableaux)}
+        runs.append((_integrate_by_stages(problem, groups, u0, hooks), errors))
 
     results, failure = {}, None
     for i, t in enumerate(tableaux):
         rows = []
         for tau, (reports, errors) in zip(cfg.taus, runs):
-            report, error = reports[i], errors[i]
+            report, error = reports[t.label], errors[i]
             if report.diverged:
                 failure = failure or f"{t.label} at tau={tau} diverged at step {report.diverged_step}"
                 break
@@ -457,20 +462,16 @@ def run_convergence(cfg: ExperimentConfig):
 def run_energy(cfg: ExperimentConfig):
     """Energy series (plus final state and optional stage margins) per
     method at the first configured tau; the methods run together, one
-    ensemble per stage count."""
+    ensemble per stage count, each prepared before any output, where a
+    monitored one refuses a vanishing ``a_{k+1,k}`` at the run's points."""
     tableaux = cfg.tableaux()
     problem = cfg.problem()
     u0 = cfg.initial_state(problem)
-    tau = cfg.taus[0]
-    _admit(_step_count, problem, cfg.t_final, tau)
-    if cfg.monitor:  # the monitor's D(z) at the run's points refuses a vanishing a_{k+1,k}
-        for t in tableaux:
-            average_dissipation_rate(t, -tau * problem.mu)
+    prepared = _prepare(problem, tableaux, cfg.taus[0], cfg.t_final, cfg.monitor)
     write = _output(cfg, tableaux)
-    reports = {}
-    runs = _integrate_by_stages(problem, tableaux, u0, tau, cfg.t_final, cfg.monitor)
-    for t, report in zip(tableaux, runs):
-        reports[t.label] = report
+    runs = _integrate_by_stages(problem, prepared, u0)
+    reports = {t.label: runs[t.label] for t in tableaux}
+    for t, report in zip(tableaux, reports.values()):
         write(f"{t.label}_energy", ["t", "energy"], report.times, report.energies)
         write(f"{t.label}_final", ["x", "u"], problem.op.x, report.final_state)
         if report.margins is not None:

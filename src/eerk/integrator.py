@@ -22,7 +22,10 @@ buffer carries a leading member axis: the coefficient cache is
 transform call each way and one contraction for all members.  A single
 tableau is the ensemble of one.  Every row of every buffer is computed
 exactly as in a run of its member alone, so each member's report is bit for
-bit that of its own run.
+bit that of its own run.  A run is prepared, then run: preparing admits it
+(the ensemble, the step rule ``_step_count``) and evaluates A(z) once per
+member and, when monitored, D(z), which refuses a vanishing ``a_{k+1,k}``;
+the stage buffers live only while ``integrate`` runs it.
 
 The loop runs in blocks of steps: 16 member-steps (fewer on meshes above
 ``4096/s`` points, so that a block holds at most 2**16 stage values) are
@@ -101,22 +104,22 @@ class Ensemble(tuple):
 
 
 class _StepWorkspace:
-    """Folded spectral coefficient caches of an ensemble for a fixed
-    (problem, tau), and its stage buffers with ``rows`` stage rows per
-    member."""
+    """A prepared run: an ensemble of ``tableaux`` admitted by the step rule,
+    and the folded spectral coefficient caches of its ``n_steps`` steps."""
 
-    def __init__(self, problem: Problem, ensemble: Ensemble, tau: float, monitor: bool, rows: int):
-        self.problem = problem
-        self.tau = float(tau)
-        op = problem.op
-        members, m, s = len(ensemble), op.m, ensemble.stages
+    def __init__(self, problem: Problem, tableaux, tau: float, t_final: float, monitor: bool):
+        self.ensemble = Ensemble(tableaux)
+        self.n_steps = _step_count(problem, t_final, tau)
+        self.problem, self.tau, self.t_final, self.monitor = problem, float(tau), t_final, monitor
+        self.stages = s = self.ensemble.stages
+        members, m = len(self.ensemble), problem.op.m
         tau_mu = self.tau * problem.mu
         # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s],
         # g_j = factor * DST(N(U^j)) with N the physical-space nonlinearity:
         # column 0 holds b_i, column j the folded tau a_{i+1,j} * factor
         self.coeff = np.empty((members, s, s + 1, m))
         self.dmats = np.empty((members, s, s, m)) if monitor else None
-        for b, tableau in enumerate(ensemble):
+        for b, tableau in enumerate(self.ensemble):
             # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the one
             # evaluation of the tableau in a run
             a_z = coefficient_matrix(tableau, -tau_mu)
@@ -127,6 +130,13 @@ class _StepWorkspace:
                 # d_{kl}(z), zero above the diagonal, times the inner-product weight
                 d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
                 self.dmats[b] = np.moveaxis(d, 0, -1) * problem.weight
+
+
+class _StageBuffers:
+    """The stage buffers of a run of ``ws``, ``rows`` stage rows per member."""
+
+    def __init__(self, ws: _StepWorkspace, rows: int):
+        self.ws, op, members, s = ws, ws.problem.op, len(ws.ensemble), ws.stages
         # the stage rows and the odd extensions of their sine coefficients; spectrum
         # row j >= 1 holds the transform of N(U^j) and the coefficient view of row 0
         # U_hat^1, so the terms are one view.  A stage's transforms use no other rows:
@@ -136,10 +146,10 @@ class _StepWorkspace:
         # rests on one ordering: the contraction of stage i+1 reads only coefficient
         # row i and term rows 0..i+1, and np.copyto reads the inverse transform's row
         # before anything writes to it again
-        self.u = np.empty((members, rows, m))
+        self.u = np.empty((members, rows, op.m))
         self.u_odd, self.u_hat = op.odd_buffer((members, rows))
         spectra, self.terms = op.spectrum_buffer((members, s + 1))
-        self.rows = [(self.coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1],
+        self.rows = [(ws.coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1],
                       spectra[:, (i + 2) % (s + 1)], self.terms[:, (i + 2) % (s + 1)])
                      for i in range(s)]
 
@@ -149,7 +159,7 @@ class _StepWorkspace:
         row is checked for divergence; the caller does that and guards
         against overflow warnings."""
         u, u_hat, u_odd = self.u, self.u_hat, self.u_odd
-        nonlinearity, transform = self.problem.nonlinearity, self.problem.op.transform_odd
+        nonlinearity, transform = self.ws.problem.nonlinearity, self.ws.problem.op.transform_odd
         self.terms[:, 0] = u_hat[:, r]
         for i, (row, terms, spectrum, back, back_coeffs) in enumerate(self.rows, start=r):
             nonlinearity(u[:, i], out=u_hat[:, i + 1])
@@ -166,8 +176,8 @@ class _StepWorkspace:
         the terms it subtracts."""
         members, k, s = energies.shape
         delta_hats = np.diff(self.u_hat[:, :k * s + 1], axis=1).reshape(members, k, s, -1)
-        quad = np.einsum("bklm,bnkm,bnlm->bnk", self.dmats, delta_hats, delta_hats)
-        drop = np.cumsum(quad, axis=2) / self.tau
+        quad = np.einsum("bklm,bnkm,bnlm->bnk", self.ws.dmats, delta_hats, delta_hats)
+        drop = np.cumsum(quad, axis=2) / self.ws.tau
         start = start[..., None]
         floors = _FLOOR_ULPS * np.finfo(float).eps * (np.abs(energies) + np.abs(start) + np.abs(drop))
         return -drop - (energies - start), floors
@@ -248,7 +258,7 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
               monitor: bool = False, *, on_block=None):
     """Run ``t_final / tau`` steps from ``u0``; ``t_final = 0`` gives the
     report of the initial state alone.  On divergence the report is
-    truncated at the last finite step and flagged.  Before any allocation,
+    truncated at the last finite step and flagged.  Before any evaluation,
     the one step rule ``_step_count`` admits ``tau``: a ``ValueError``
     rejects a ``tau`` that is not positive, a ``t_final`` that is not
     ``n * tau`` (within 8 ulps) for a whole ``0 <= n <= 2**24``, and a
@@ -260,7 +270,8 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     which gives an :class:`EnsembleReport` whose reports equal those of the
     members' own runs.  A diverged member keeps its rows in the buffers
     to the end of the run, which stops early only once every member has
-    diverged.
+    diverged.  A run prepared before any output (a ``_StepWorkspace``) may
+    stand in its place, given the arguments it was prepared with.
 
     ``on_block(n0, stages)``, if given, is called after each checked block
     of steps ``n0+1 .. n0+k`` with the ``(k, s, m)`` view ``stages`` of
@@ -270,15 +281,15 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
     member.
     """
     single = isinstance(tableau, Tableau)
-    ensemble = Ensemble([tableau] if single else tableau)
-    hooks = [on_block] * len(ensemble) if single or on_block is None else list(on_block)
-    if len(hooks) != len(ensemble):
-        raise ValueError(f"{len(ensemble)} members need as many on_block hooks, got {len(hooks)}")
-    n_steps = _step_count(problem, t_final, tau)
-    members, s, m = len(ensemble), ensemble.stages, problem.op.m
+    ws = tableau if isinstance(tableau, _StepWorkspace) else _StepWorkspace(
+        problem, [tableau] if single else tableau, tau, t_final, monitor)
+    members, n_steps, s, m = len(ws.ensemble), ws.n_steps, ws.stages, problem.op.m
+    hooks = [on_block] * members if single or on_block is None else list(on_block)
+    if len(hooks) != members:
+        raise ValueError(f"{members} members need as many on_block hooks, got {len(hooks)}")
     block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (s * m)) // members)
-    ws = _StepWorkspace(problem, ensemble, tau, monitor, block * s + 1)
-    u, u_hat = ws.u, ws.u_hat
+    run = _StageBuffers(ws, block * s + 1)  # this call's own, released when it returns
+    u, u_hat = run.u, run.u_hat
     u[:, 0] = u0
     u_hat[:, 0] = problem.op.forward(u[0, 0])
     # column n of a series holds the end of step n, for every member
@@ -296,7 +307,7 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
         for n0 in range(0, n_steps, block):
             k = min(block, n_steps - n0)
             for r in range(0, k * s, s):
-                ws.advance(r)
+                run.advance(r)
             # the sup-norm of a row is finite only if the whole row is
             stage_rows = slice(1, k * s + 1)
             sup = np.max(np.abs(u[:, stage_rows]), axis=2)
@@ -305,7 +316,7 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
             recorded = problem.energy(u[:, rows], u_hat[:, rows]).reshape(members, k, -1)
             energies[:, n0 + 1:n0 + k + 1] = recorded[:, :, -1]
             if monitor:
-                margins[:, n0:n0 + k], floors[:, n0:n0 + k] = ws.margins(
+                margins[:, n0:n0 + k], floors[:, n0:n0 + k] = run.margins(
                     recorded, energies[:, n0:n0 + k])
             for b, hook in enumerate(hooks):
                 if diverged_steps[b] is not None:
@@ -322,7 +333,7 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
                 break
             u[:, 0], u_hat[:, 0] = u[:, k * s], u_hat[:, k * s]
     reports = []
-    for b, tableau in enumerate(ensemble):
+    for b, tableau in enumerate(ws.ensemble):
         step = diverged_steps[b]
         n = n_steps if step is None else step - 1
         reports.append(RunReport(

@@ -25,7 +25,7 @@ import eerk.dissipation as dissipation
 from eerk.cli import _config, build_parser, main
 from eerk.dissipation import SingularDiagonalError, classify_method, doc_kernels
 from eerk.integrator import integrate
-from eerk.tableaux import get_method
+from eerk.tableaux import coefficient_matrix, get_method
 
 
 # --------------------------------------------------------------------------
@@ -821,6 +821,29 @@ def test_singular_diagonal_errors_name_method_and_z(capsys, tmp_path):
     with pytest.raises(SingularDiagonalError) as exc:
         doc_kernels(get_method("ho4"), 0.0)
     assert "ho4" in str(exc.value) and "z=" in str(exc.value)
+
+
+def test_cli_monitored_refusal_prepares_every_stage_group_before_running(capsys, tmp_path,
+                                                                        monkeypatch):
+    # eerk2w's 2-stage group is prepared, then ho4's 4-stage group refuses the
+    # run: a diagonal coefficient of its D(z) vanishes at a point of the run
+    prepared = []
+
+    def counted(t, z):
+        prepared.append(t.label)
+        return coefficient_matrix(t, z)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a stage group ran before every group was prepared")
+
+    monkeypatch.setattr("eerk.integrator.coefficient_matrix", counted)
+    monkeypatch.setattr("eerk.bench.integrate", no_run)
+    out = tmp_path / "D"
+    assert main(["energy", "--method", "eerk2w:c2=1", "--method", "ho4", "--tau", "1e15",
+                 "--T", "1e15", "--monitor", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: ho4: a diagonal coefficient vanishes at z=-8.6397e+15\n"
+    assert prepared == ["eerk2w:c2=1", "ho4"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lines", [

@@ -1,6 +1,7 @@
 """Tests for the EERK stage loop and stage-energy monitoring."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from eerk.dissipation import differentiation_matrix
 from eerk.integrator import Ensemble, EnsembleReport, _step_count, integrate
 from eerk.phi import phi
-from eerk.bench import initial_profile
+from eerk.bench import ExperimentConfig, initial_profile, run_convergence, run_energy
 from eerk.spatial import CahnHilliard, Problem, StabilizedSemilinear
 from eerk.tableaux import coefficient_matrix, get_method
 from oracles import apply, apply_stencil, apply_values, build_laplacian_1d, g_stabilized, inner
@@ -211,10 +212,13 @@ def test_bad_horizons_are_rejected_before_any_allocation(monkeypatch):
     p = cahn_hilliard(m=24)
     u0 = 0.2 * np.sin(p.op.x)
 
-    def no_workspace(*args, **kwargs):
-        raise AssertionError("a workspace was built for a horizon that is rejected")
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("A(z) was evaluated or a buffer allocated for a horizon that is rejected")
 
-    monkeypatch.setattr("eerk.integrator._StepWorkspace", no_workspace)
+    # A(z) is evaluated after the step rule, and the stage buffers, then the
+    # series, are allocated after A(z)
+    monkeypatch.setattr("eerk.integrator.coefficient_matrix", no_evaluation)
+    monkeypatch.setattr("eerk.integrator._StageBuffers", no_evaluation)
     # 1e12 steps would take 7.28 TiB of series
     with pytest.raises(ValueError, match=r"^final time 1.0 takes more than 16777216 steps of tau 1e-12$"):
         integrate(p, get_method("etd1"), u0, 1e-12, 1.0)
@@ -235,10 +239,11 @@ def test_step_beyond_the_stiff_spectrum_is_rejected_before_any_allocation(monkey
     p = cahn_hilliard(m=24)
     u0 = 0.2 * np.sin(p.op.x)
 
-    def no_workspace(*args, **kwargs):
-        raise AssertionError("a workspace was built for a step that is rejected")
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("A(z) was evaluated or a buffer allocated for a step that is rejected")
 
-    monkeypatch.setattr("eerk.integrator._StepWorkspace", no_workspace)
+    monkeypatch.setattr("eerk.integrator.coefficient_matrix", no_evaluation)
+    monkeypatch.setattr("eerk.integrator._StageBuffers", no_evaluation)
     for tau in (1e308, np.float64(1e308)):
         with pytest.raises(ValueError, match=r"^step size tau 1e\+308 times the largest stiff "
                                              r"eigenvalue .* overflows float64$"):
@@ -369,6 +374,27 @@ def test_a_run_evaluates_its_coefficients_once(spec, monkeypatch):
         integrate(p, t, 0.5 * np.sin(p.op.x), 0.1, 0.3, monitor=monitor)
         counts.append(len(calls))
     assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_a_driver_evaluates_each_members_coefficients_once(monkeypatch):
+    # a monitored energy run refuses a vanishing a_{k+1,k} through the D(z)
+    # that its prepared run forms, so no member's A(z) is evaluated twice,
+    # here with members in two stage groups
+    calls = []
+
+    def counted(t, z):
+        calls.append(t.label)
+        return coefficient_matrix(t, z)
+
+    for module in ("eerk.integrator", "eerk.dissipation"):
+        monkeypatch.setattr(f"{module}.coefficient_matrix", counted)
+    specs = ["eerk2w:c2=3/11", "eerk31:c2=4/9"]
+    run_energy(ExperimentConfig(methods=specs, m=15, taus=[0.1], t_final=0.3, monitor=True))
+    assert Counter(calls) == {"eerk2w:c2=3/11": 1, "eerk31:c2=4/9": 1}
+    # a table: one per method and tau, and one for the reference, eerk31:c2=4/9
+    calls.clear()
+    run_convergence(ExperimentConfig(methods=specs, m=15, taus=[0.1, 0.05], t_final=0.3, ref_tau=0.025))
+    assert Counter(calls) == {"eerk2w:c2=3/11": 2, "eerk31:c2=4/9": 3}
 
 
 def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):
