@@ -13,7 +13,7 @@ contraction of its row with the terms ``[U^1, g(U^1) .. g(U^s)]`` in sine
 coefficients.  The state is carried in sine coefficients from step to step:
 each stage transforms only its physical-space nonlinearity forward and its
 result back, so a step costs ``2s`` sine transforms.  Each is ``op.forward``
-done bit for bit by ``op.transform_odd`` in rows the loop overwrites next.
+done bit for bit by ``op.transform_odd`` in one odd extension per member.
 
 ``integrate`` runs one tableau or an :class:`Ensemble` of B tableaux that
 share the problem, the initial state, tau and the stage count.  Every
@@ -22,28 +22,28 @@ buffer carries a leading member axis: the coefficient cache is
 transform call each way and one contraction for all members.  A single
 tableau is the ensemble of one.  Every row of every buffer is computed
 exactly as in a run of its member alone, so each member's report is bit for
-bit that of its own run.  A run is prepared, then run: preparing admits it
-(the ensemble, the step rule ``_step_count``) and evaluates A(z) once per
-member and, when monitored, D(z), which refuses a vanishing ``a_{k+1,k}``;
-the stage buffers live only while ``integrate`` runs it.
+bit that of its own run.  Preparing a run admits it (the ensemble, the step
+rule ``_step_count``); A(z), once per member, is evaluated when the run
+starts, or at preparation when monitored, with D(z), which refuses a
+vanishing ``a_{k+1,k}``.  Stage buffers live only while ``integrate`` runs.
 
 The loop runs in blocks of steps: 16 member-steps (fewer on meshes above
 ``4096/s`` points, so that a block holds at most 2**16 stage values) are
 shared among the B members, at least one step each.  The steps of a
 block write their stages into one ``(B, ks+1, m)`` buffer and its
 sine-coefficient twin, each step starting from the row where the previous
-one ended.  Only then is the block checked and recorded, with one call for
-each job, into series sized for the horizon, one row per member and one
-column per step: the sup-norms of all stage rows, whose first non-finite
-value in a member names its diverged step (its report stops before it,
-and nothing later of it is recorded or handed over); the energies of the
-step ends, or of every stage when monitoring; and the margins, whose
-quadratic forms are contracted member by member.  A run keeps its shape:
-a diverged member's rows are still computed until the run ends, which it
-does early once every member has diverged.  A caller that needs more
-than the reports (the convergence driver samples the step ends) passes
-``on_block``, one hook per member, each of which then receives the finite
-steps of its member's block as one ``(k, s, m)`` view of the stage buffer.
+one ended.  Only then is the block checked and recorded into series sized
+for the horizon, one row per member and one column per step: with one call
+for all members, the energies of the step ends, or of every stage when
+monitoring, and the margins, whose quadratic forms are contracted member by
+member; then, member by member, the sup-norms of all stage rows, whose
+first non-finite value names the member's diverged step (its report stops
+before it, and nothing later of it is recorded or handed over).  A run
+keeps its shape: a diverged member's rows are still computed until the run
+ends, which it does early once every member has diverged.  A caller that
+needs more than the reports (the convergence driver samples the step ends)
+passes ``on_block``, one hook per member, each of which then receives the
+finite steps of its member's block as one ``(k, s, m)`` stage-buffer view.
 
 When monitoring is on, each step also records the slack ("margin") of the
 stage energy inequality
@@ -64,6 +64,7 @@ inequality held for that step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -111,45 +112,52 @@ class _StepWorkspace:
         self.ensemble = Ensemble(tableaux)
         self.n_steps = _step_count(problem, t_final, tau)
         self.problem, self.tau, self.t_final, self.monitor = problem, float(tau), t_final, monitor
-        self.stages = s = self.ensemble.stages
-        members, m = len(self.ensemble), problem.op.m
-        tau_mu = self.tau * problem.mu
+        self.stages = self.ensemble.stages
+        if monitor:  # D's diagonal refusal comes with the admission, before any output
+            self.caches
+
+    @cached_property
+    def caches(self) -> tuple:
+        """``coeff`` and, when monitored, ``dmats`` (else None), built on first use."""
+        problem, s, members = self.problem, self.stages, len(self.ensemble)
+        tau_mu, m = self.tau * problem.mu, problem.op.m
         # stage i+1 contracts row i with the terms [U_hat^1, g_1 .. g_s],
         # g_j = factor * DST(N(U^j)) with N the physical-space nonlinearity:
         # column 0 holds b_i, column j the folded tau a_{i+1,j} * factor
-        self.coeff = np.empty((members, s, s + 1, m))
-        self.dmats = np.empty((members, s, s, m)) if monitor else None
+        coeff = np.empty((members, s, s + 1, m))
+        dmats = np.empty((members, s, s, m)) if self.monitor else None
         for b, tableau in enumerate(self.ensemble):
-            # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the one
-            # evaluation of the tableau in a run
+            # a_{i+1,j}(z) per eigenvalue, zero above the diagonal: the run's one evaluation
             a_z = coefficient_matrix(tableau, -tau_mu)
             a = np.ascontiguousarray(np.moveaxis(a_z, 0, -1))
-            self.coeff[b, :, 0] = 1.0 - tau_mu * a.sum(axis=1)
-            self.coeff[b, :, 1:] = self.tau * a * problem.factor
-            if monitor:
+            coeff[b, :, 0] = 1.0 - tau_mu * a.sum(axis=1)
+            coeff[b, :, 1:] = self.tau * a * problem.factor
+            if self.monitor:
                 # d_{kl}(z), zero above the diagonal, times the inner-product weight
                 d = _from_coefficients(a_z, -tau_mu, "standard", tableau.label)
-                self.dmats[b] = np.moveaxis(d, 0, -1) * problem.weight
+                dmats[b] = np.moveaxis(d, 0, -1) * problem.weight
+        return coeff, dmats
 
 
 class _StageBuffers:
     """The stage buffers of a run of ``ws``, ``rows`` stage rows per member."""
 
     def __init__(self, ws: _StepWorkspace, rows: int):
+        coeff, self.dmats = ws.caches
         self.ws, op, members, s = ws, ws.problem.op, len(ws.ensemble), ws.stages
-        # the stage rows and the odd extensions of their sine coefficients; spectrum
-        # row j >= 1 holds the transform of N(U^j) and the coefficient view of row 0
-        # U_hat^1, so the terms are one view.  A stage's transforms use no other rows:
-        # stage i+1 writes N(U^{i+1}) into the odd extension its contraction overwrites,
-        # and its inverse transform into spectrum row (i+2) % (s+1), which the next
-        # stage's forward transform (or the next step's U_hat^1) overwrites.  This
-        # rests on one ordering: the contraction of stage i+1 reads only coefficient
-        # row i and term rows 0..i+1, and np.copyto reads the inverse transform's row
-        # before anything writes to it again
-        self.u = np.empty((members, rows, op.m))
-        self.u_odd, self.u_hat = op.odd_buffer((members, rows))
+        # the stage rows and their sine coefficients, one odd extension per member,
+        # and the term spectra: row j >= 1 holds the transform of N(U^j) and the
+        # coefficient view of row 0 U_hat^1, so the terms are one view.  Stage i+1
+        # transforms N(U^{i+1}) from the extension's body, contracts into the body,
+        # copies it to its coefficient row and transforms it into spectrum row
+        # (i+2) % (s+1), which the next stage's forward transform (or the next step's
+        # U_hat^1) overwrites.  This rests on one ordering: the contraction of stage
+        # i+1 reads only coefficient row i and term rows 0..i+1, and np.copyto reads
+        # the inverse transform's row before anything writes to it again
+        self.u, self.u_hat = np.empty((2, members, rows, op.m))
+        self.odd, self.body = op.odd_buffer((members,))
         spectra, self.terms = op.spectrum_buffer((members, s + 1))
-        self.rows = [(ws.coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1],
+        self.rows = [(coeff[:, i, :i + 2], self.terms[:, :i + 2], spectra[:, i + 1],
                       spectra[:, (i + 2) % (s + 1)], self.terms[:, (i + 2) % (s + 1)])
                      for i in range(s)]
 
@@ -158,14 +166,15 @@ class _StageBuffers:
         with the stages of the step from row ``r``, for every member.  No
         row is checked for divergence; the caller does that and guards
         against overflow warnings."""
-        u, u_hat, u_odd = self.u, self.u_hat, self.u_odd
+        u, u_hat, odd, body = self.u, self.u_hat, self.odd, self.body
         nonlinearity, transform = self.ws.problem.nonlinearity, self.ws.problem.op.transform_odd
         self.terms[:, 0] = u_hat[:, r]
         for i, (row, terms, spectrum, back, back_coeffs) in enumerate(self.rows, start=r):
-            nonlinearity(u[:, i], out=u_hat[:, i + 1])
-            transform(u_odd[:, i + 1], spectrum)
-            np.einsum("bjm,bjm->bm", row, terms, out=u_hat[:, i + 1])
-            transform(u_odd[:, i + 1], back)
+            nonlinearity(u[:, i], out=body)
+            transform(odd, spectrum)
+            np.einsum("bjm,bjm->bm", row, terms, out=body)
+            np.copyto(u_hat[:, i + 1], body)
+            transform(odd, back)
             np.copyto(u[:, i + 1], back_coeffs)
 
     def margins(self, energies: np.ndarray, start: np.ndarray) -> tuple:
@@ -176,7 +185,7 @@ class _StageBuffers:
         the terms it subtracts."""
         members, k, s = energies.shape
         delta_hats = np.diff(self.u_hat[:, :k * s + 1], axis=1).reshape(members, k, s, -1)
-        quad = np.einsum("bklm,bnkm,bnlm->bnk", self.ws.dmats, delta_hats, delta_hats)
+        quad = np.einsum("bklm,bnkm,bnlm->bnk", self.dmats, delta_hats, delta_hats)
         drop = np.cumsum(quad, axis=2) / self.ws.tau
         start = start[..., None]
         floors = _FLOOR_ULPS * np.finfo(float).eps * (np.abs(energies) + np.abs(start) + np.abs(drop))
@@ -308,10 +317,7 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
             k = min(block, n_steps - n0)
             for r in range(0, k * s, s):
                 run.advance(r)
-            # the sup-norm of a row is finite only if the whole row is
             stage_rows = slice(1, k * s + 1)
-            sup = np.max(np.abs(u[:, stage_rows]), axis=2)
-            sup_norms[:, n0 + 1:n0 + k + 1] = sup[:, s - 1::s]
             rows = stage_rows if monitor else slice(s, k * s + 1, s)
             recorded = problem.energy(u[:, rows], u_hat[:, rows]).reshape(members, k, -1)
             energies[:, n0 + 1:n0 + k + 1] = recorded[:, :, -1]
@@ -321,7 +327,10 @@ def integrate(problem: Problem, tableau, u0, tau: float, t_final: float,
             for b, hook in enumerate(hooks):
                 if diverged_steps[b] is not None:
                     continue
-                bad = np.flatnonzero(~np.isfinite(sup[b]))
+                # the sup-norm of a row is finite only if the whole row is
+                sup = np.max(np.abs(u[b, stage_rows]), axis=1)
+                sup_norms[b, n0 + 1:n0 + k + 1] = sup[s - 1::s]
+                bad = np.flatnonzero(~np.isfinite(sup))
                 kb = k
                 if bad.size:
                     kb = int(bad[0]) // s

@@ -168,7 +168,8 @@ class Problem:
         2-D ``v`` are separate states; a 1-D ``v`` gives a float.
         """
         if isinstance(self.kind, CahnHilliard):
-            w = v * v - 1.0  # G(v) = w^2 / 4
+            w = v * v  # w = v^2 - 1, formed in place, and G(v) = w^2 / 4
+            w -= 1.0
             scale, bulk = self.kind.eps * self.kind.eps, 0.25 * np.einsum("...m,...m->...", w, w)
         else:
             scale, bulk = 1.0, np.sum(self.kind.potential(v), axis=-1)

@@ -1,6 +1,7 @@
 """Tests for the EERK stage loop and stage-energy monitoring."""
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -379,22 +380,56 @@ def test_a_run_evaluates_its_coefficients_once(spec, monkeypatch):
 def test_a_driver_evaluates_each_members_coefficients_once(monkeypatch):
     # a monitored energy run refuses a vanishing a_{k+1,k} through the D(z)
     # that its prepared run forms, so no member's A(z) is evaluated twice,
-    # here with members in two stage groups
+    # here with members in two stage groups, and every member's before the
+    # first run; an unmonitored run evaluates its own when it starts
     calls = []
 
     def counted(t, z):
         calls.append(t.label)
         return coefficient_matrix(t, z)
 
+    def run(*args, **kwargs):
+        calls.append("integrate")
+        return integrate(*args, **kwargs)
+
     for module in ("eerk.integrator", "eerk.dissipation"):
         monkeypatch.setattr(f"{module}.coefficient_matrix", counted)
+    monkeypatch.setattr("eerk.bench.integrate", run)
     specs = ["eerk2w:c2=3/11", "eerk31:c2=4/9"]
     run_energy(ExperimentConfig(methods=specs, m=15, taus=[0.1], t_final=0.3, monitor=True))
-    assert Counter(calls) == {"eerk2w:c2=3/11": 1, "eerk31:c2=4/9": 1}
-    # a table: one per method and tau, and one for the reference, eerk31:c2=4/9
+    assert calls == [*specs, "integrate", "integrate"]
+    # a table: one per method and tau, and one for the reference, eerk31:c2=4/9,
+    # each after the previous run, so that one tau's caches are held at a time
     calls.clear()
     run_convergence(ExperimentConfig(methods=specs, m=15, taus=[0.1, 0.05], t_final=0.3, ref_tau=0.025))
-    assert Counter(calls) == {"eerk2w:c2=3/11": 2, "eerk31:c2=4/9": 3}
+    assert calls == ["integrate", specs[1]] + ["integrate", specs[0], "integrate", specs[1]] * 2
+    assert Counter(calls) == {"eerk2w:c2=3/11": 2, "eerk31:c2=4/9": 3, "integrate": 5}
+
+
+def test_a_table_holds_one_taus_caches_and_one_runs_buffers():
+    # 4 two-stage members at 4 taus on m=16383 points: a block is one step
+    # per member (2**16 stage values over 4 members of 2 stages), so a run's
+    # stage rows are 3 per member
+    m, members, s, rows, mb = 16383, 4, 2, 3, 8 / 2**20
+    c2s = ["1", "3/4", "1/2", "3/11"]
+    cfg = ExperimentConfig(methods=[f"eerk2w:c2={c}" for c in c2s], m=m, t_final=0.01,
+                           taus=[0.01, 0.005, 0.0025, 0.00125], ref_tau=0.0003125,
+                           ref_method="eerk2w:c2=3/11", ic="sine")
+    tracemalloc.start()
+    try:
+        run_convergence(cfg)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    store = 32 // 4 * m * mb  # every 4th of 32 reference steps (strides 32, 16, 8, 4)
+    coeff = members * s * (s + 1) * m * mb
+    # the stage rows and their sine coefficients, one odd extension per
+    # member and s+1 complex term spectra
+    buffers = (2 * members * rows * m + members * 2 * (m + 1) + members * (s + 1) * 2 * (m + 2)) * mb
+    # the problem's maps, the earlier taus' final states and the block
+    # record's temporaries: 8 arrays of shape (members, m) in all
+    slack = 8 * members * m * mb
+    assert peak < store + coeff + buffers + slack, (peak, store, coeff, buffers)
 
 
 def _per_step_loop(p, tableau, u0, tau, n_steps, monitor=False):

@@ -33,6 +33,27 @@ loaded = [k for k, v in sys.modules.items() if k.split(".")[0] in ORACLES and v 
 print(json.dumps({"codes": codes, "attempts": attempts, "loaded": loaded}))
 """
 
+# the standard-library modules that eerk.bench and the eerk modules it imports
+# import today; a change that needs another one adds to the set-up time that
+# perfbench's worker measures around "import eerk.bench"
+STDLIB = ["__future__", "dataclasses", "fractions", "functools", "inspect", "math", "pathlib",
+          "typing"]
+
+# the top-level modules that importing eerk.bench after numpy loads, less
+# those its standard-library imports load on their own
+ADDED = """
+import json, sys
+import numpy
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    __import__(name)
+stdlib = set(sys.modules) - before
+import eerk.bench
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({"added": sorted(added),
+                  "extra": sorted(added - {name.split(".")[0] for name in stdlib})}))
+"""
+
 
 def _run(script, *args):
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
@@ -47,3 +68,10 @@ def test_cli_runs_without_scipy(tmp_path):
     assert (tmp_path / "eerk31-c2-4-9_margins.csv").is_file()
     assert (tmp_path / "eerk2w-c2-1-2_convergence.csv").is_file()
 
+
+def test_importing_the_bench_adds_no_module():
+    # with numpy 2.4 on Python 3.11.7, "added" is __future__, _decimal, copy,
+    # dataclasses, decimal, eerk, fractions and numpy (numpy.fft, which
+    # "import numpy" leaves out); another numpy may load more of STDLIB itself
+    result = json.loads(_run(ADDED, *STDLIB))
+    assert set(result["extra"]) <= {"eerk", "numpy"}, result
